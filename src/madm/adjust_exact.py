@@ -20,70 +20,25 @@ and the expected number of interior score queries is 2 C H e^C / (1 + Hr).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
-from .errors import (BoundViolationError, ConfigError, DomainError,
-                     NonterminationError)
-from .proposal import LangevinProposal, endpoint_integrands, line_integrand, log_H
+from . import engine
+from .engine import DEFAULT_MAX_ROUNDS, BoundSpec
+from .errors import DomainError
+from .proposal import LangevinProposal
 from .schedule import NoiseSchedule
 from .targets import ScoreOracle
-
-BOUNDED_DENOISER = "bounded-denoiser"
-LIPSCHITZ = "lipschitz"
-LIPSCHITZ_SHARP = "lipschitz-sharp"
-MANUAL = "manual"
-BOUND_STRATEGIES = (BOUNDED_DENOISER, LIPSCHITZ, LIPSCHITZ_SHARP, MANUAL)
-
-# Tolerance band for declaring the envelope violated: factors may stray this
-# far outside [0, 1] from rounding before we call the bound invalid.
-FACTOR_TOLERANCE = 1e-9
-
-DEFAULT_MAX_ROUNDS = 1_000_000
-
-
-@dataclass(frozen=True)
-class BoundSpec:
-    """How to compute the integrand envelope C for a proposal.
-
-    ``value`` overrides the oracle's declared constant (b for the bounded
-    denoiser, L for the Lipschitz route, C itself for ``manual``); when None
-    the oracle capability is used.
-    """
-
-    strategy: str
-    value: Optional[float] = None
-
-    def __post_init__(self):
-        if self.strategy not in BOUND_STRATEGIES:
-            raise ConfigError(
-                f"unknown bound strategy {self.strategy!r}; "
-                f"expected one of {BOUND_STRATEGIES}"
-            )
-        if self.value is not None:
-            if not np.isfinite(self.value) or self.value < 0:
-                raise DomainError(
-                    f"bound value must be finite and >= 0, got {self.value}"
-                )
 
 
 @dataclass
 class Decision:
-    """Accept/reject outcome annotated with its sampling cost.
-
-    ``w_last`` holds the most recent Bernoulli-factory draw for two-coin
-    decisions (1.0 if no product was ever drawn, matching the W <- 1
-    initialisation) and the computed acceptance probability for
-    quadrature/oracle decisions.
-    """
+    """Accept/reject outcome annotated with its sampling cost."""
 
     outcome: str
     rounds: int
     poisson_total: int
     score_queries: int
-    w_last: float
     method: str = "two-coin"
 
     def __post_init__(self):
@@ -91,105 +46,28 @@ class Decision:
             raise DomainError(f"outcome must be accept/reject, got {self.outcome}")
         if self.rounds < 1:
             raise DomainError(f"rounds must be >= 1, got {self.rounds}")
-        if not 0.0 <= self.w_last <= 1.0:
-            raise DomainError(f"w_last must lie in [0, 1], got {self.w_last}")
 
     @property
     def accepted(self) -> bool:
         return self.outcome == "accept"
 
 
+def _check_c(C: float) -> None:
+    if C < 0:
+        raise DomainError(f"C must be >= 0, got {C}")
+
+
 def bound_C(p: LangevinProposal, spec: BoundSpec, schedule: NoiseSchedule,
             oracle: ScoreOracle) -> float:
     """Envelope C(x, x_tilde) dominating the line integrand along the segment.
 
-    Bounded-denoiser route (Tweedie: the posterior mean of the clean data
-    lies in a centred ball of radius b):
-
-        C = (b r_t + max(||x||, ||x_tilde||)) / (r_t^2 sigma_t^2) * ||v||
-
-    Lipschitz route (score L-Lipschitz; only the one-sided condition is
-    actually needed):
-
-        C = max(||s(x)||, ||s(x_tilde)||) ||v|| + (L/2) ||v||^2
-
-    Sharp Lipschitz route: under the same assumption the integrand itself is
-    (L ||v||^2)-Lipschitz on [0, 1], and with both endpoint values in hand
-
-        C = (|f(0)| + |f(1)| + L ||v||^2) / 2
-
-    dominates the whole segment.  It is never larger than the plain route
-    and is exactly tight for affine integrands (Gaussian targets), which
-    collapses the e^C tail of the loop's round count.
-
-    The result is checked against the cached endpoint integrands: C must
-    dominate |f(0)| and |f(1)| or the bound is rejected outright.
+    :func:`madm.engine.bound_c_batch` on the proposal's one row; its
+    docstring gives the bounded-denoiser, Lipschitz and sharp Lipschitz
+    formulas.  C must dominate the cached endpoint integrands |f(0)| and
+    |f(1)| or the bound is rejected outright.
     """
-    v = p.displacement
-    norm_v = float(np.linalg.norm(v))
-    if spec.strategy == BOUNDED_DENOISER:
-        b = spec.value if spec.value is not None else oracle.denoiser_bound
-        if b is None:
-            raise ConfigError(
-                f"oracle {oracle.name!r} declares no denoiser bound"
-            )
-        r, sigma = schedule.marginal_params(p.t)
-        if sigma <= 0:
-            raise DomainError(f"bounded-denoiser bound undefined at t={p.t} "
-                              "(sigma_t = 0)")
-        reach = max(float(np.linalg.norm(p.x)), float(np.linalg.norm(p.x_tilde)))
-        c = (b * r + reach) / (r * r * sigma * sigma) * norm_v
-    elif spec.strategy in (LIPSCHITZ, LIPSCHITZ_SHARP):
-        lip = spec.value if spec.value is not None else oracle.lipschitz
-        if lip is None:
-            raise ConfigError(
-                f"oracle {oracle.name!r} declares no Lipschitz constant"
-            )
-        if spec.strategy == LIPSCHITZ:
-            s_max = max(float(np.linalg.norm(p.score_x)),
-                        float(np.linalg.norm(p.score_x_tilde)))
-            c = s_max * norm_v + 0.5 * lip * norm_v ** 2
-        else:
-            f0, f1 = endpoint_integrands(p)
-            c = 0.5 * (abs(f0) + abs(f1) + lip * norm_v ** 2)
-    else:  # manual
-        if spec.value is None:
-            raise ConfigError("manual bound requires an explicit value")
-        c = float(spec.value)
-
-    f0, f1 = endpoint_integrands(p)
-    needed = max(abs(f0), abs(f1))
-    if c < needed * (1.0 - 1e-12) - 1e-15:
-        raise BoundViolationError(
-            f"C={c:.6g} fails to dominate the endpoint integrands "
-            f"(|f(0)|={abs(f0):.6g}, |f(1)|={abs(f1):.6g})"
-        )
-    return float(c)
-
-
-def _factor_from_integrand(value: float, c: float) -> float:
-    factor = 0.5 + value / (2.0 * c)
-    if factor < -FACTOR_TOLERANCE or factor > 1.0 + FACTOR_TOLERANCE:
-        raise BoundViolationError(
-            f"factor {factor:.6g} outside [0, 1]: integrand {value:.6g} "
-            f"escapes the envelope C={c:.6g}"
-        )
-    return min(max(factor, 0.0), 1.0)
-
-
-def _poisson_product(p: LangevinProposal, oracle: ScoreOracle, c: float,
-                     rng: np.random.Generator) -> tuple[float, int]:
-    """One W draw plus the Poisson count behind it."""
-    if c < 0:
-        raise DomainError(f"C must be >= 0, got {c}")
-    if c == 0.0:
-        return 1.0, 0
-    n = int(rng.poisson(2.0 * c))
-    w = 1.0
-    for _ in range(n):
-        u = float(rng.uniform())
-        w *= _factor_from_integrand(line_integrand(p, oracle, u), c)
-    return w, n
+    return float(engine.bound_c_batch(*p.as_rows(), p.t, spec, schedule,
+                                      oracle)[0])
 
 
 def poisson_product_W(p: LangevinProposal, oracle: ScoreOracle, C: float,
@@ -198,8 +76,7 @@ def poisson_product_W(p: LangevinProposal, oracle: ScoreOracle, C: float,
 
     C = 0 (or a Poisson draw of 0) returns 1 under the 0^0 = 1 convention.
     """
-    w, _ = _poisson_product(p, oracle, C, rng)
-    return w
+    return float(poisson_w_replicates(p, oracle, C, rng, 1)[0])
 
 
 def two_coin_decision(p: LangevinProposal, oracle: ScoreOracle, C: float,
@@ -216,39 +93,16 @@ def two_coin_decision(p: LangevinProposal, oracle: ScoreOracle, C: float,
     """
     if max_rounds < 1:
         raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
-    flipped = False
-    work = p
-    lh = log_H(p)
-    if swap_direction:
-        f0, f1 = endpoint_integrands(p)
-        if lh > 0.5 * (f0 + f1):
-            work = p.reversed()
-            lh = -lh
-            flipped = True
-
-    alpha_prime = float(expit(-(lh + C)))
-    w = 1.0
-    poisson_total = 0
+    _check_c(C)
     queries_before = oracle.queries
-    for round_idx in range(1, max_rounds + 1):
-        if rng.uniform() <= alpha_prime:
-            outcome = "accept" if flipped else "reject"
-            return Decision(outcome=outcome, rounds=round_idx,
-                            poisson_total=poisson_total,
-                            score_queries=oracle.queries - queries_before,
-                            w_last=w)
-        w, n = _poisson_product(work, oracle, C, rng)
-        poisson_total += n
-        if rng.uniform() <= w:
-            outcome = "reject" if flipped else "accept"
-            return Decision(outcome=outcome, rounds=round_idx,
-                            poisson_total=poisson_total,
-                            score_queries=oracle.queries - queries_before,
-                            w_last=w)
-    raise NonterminationError(
-        f"two-coin loop undecided after {max_rounds} rounds",
-        rounds=max_rounds, c_bound=C, log_h=lh, w_last=w,
-    )
+    X, Xt, S, St = p.as_rows()
+    _, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, p.h)
+    swap = engine._swap_rows(f0, f1, logH) & swap_direction
+    accept, rounds, poisson = engine._two_coin_accept(
+        X, Xt, logH, np.array([float(C)]), swap, p.t, oracle, rng, max_rounds)
+    return Decision(outcome="accept" if accept[0] else "reject",
+                    rounds=int(rounds[0]), poisson_total=int(poisson[0]),
+                    score_queries=oracle.queries - queries_before)
 
 
 def expected_rounds(C: float, H: float, r: float) -> float:
@@ -264,59 +118,34 @@ def expected_queries(C: float, H: float, r: float) -> float:
 
 
 def _check_cost_args(C, H, r):
-    if C < 0:
-        raise DomainError(f"C must be >= 0, got {C}")
+    _check_c(C)
     if H <= 0 or r <= 0:
         raise DomainError(f"H and r must be positive, got H={H}, r={r}")
 
 
 # ---------------------------------------------------------------------------
-# Vectorised replicate samplers (verification instrumentation)
+# Replicate samplers (verification instrumentation)
 #
 # The verification suites need 1e5..1e6 independent replays of the factory on
-# a fixed proposal; looping the scalar entry points would dominate the run
-# time, so these replay the exact same sampling scheme with batched draws.
+# a fixed proposal; these run the engine kernels on n broadcast copies of the
+# proposal's row, so replicate i is reported as chain i.
 # ---------------------------------------------------------------------------
 
-def _segment_products(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Product of consecutive ``factors`` segments of the given lengths."""
-    out = np.ones(counts.shape[0])
-    mask = counts > 0
-    if not np.any(mask):
-        return out
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    out[mask] = np.multiply.reduceat(factors, starts[mask])
-    return out
-
-
-def _batch_factors(p: LangevinProposal, oracle: ScoreOracle, c: float,
-                   counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0)
-    u = rng.uniform(size=total)
-    pts = p.x[None, :] + u[:, None] * p.displacement[None, :]
-    integrands = oracle.score(pts, p.t) @ p.displacement
-    factors = 0.5 + integrands / (2.0 * c)
-    if factors.min() < -FACTOR_TOLERANCE or factors.max() > 1.0 + FACTOR_TOLERANCE:
-        bad = integrands[np.argmax(np.abs(factors - 0.5))]
-        raise BoundViolationError(
-            f"integrand {bad:.6g} escapes the envelope C={c:.6g}"
-        )
-    return np.clip(factors, 0.0, 1.0)
+def _replicate_rows(p: LangevinProposal, C: float, n: int):
+    """(x, v, C) as read-only views of n identical rows."""
+    _check_c(C)
+    d = p.x.shape[-1]
+    return (np.broadcast_to(p.x, (n, d)), np.broadcast_to(p.displacement, (n, d)),
+            np.broadcast_to(float(C), (n,)))
 
 
 def poisson_w_replicates(p: LangevinProposal, oracle: ScoreOracle, C: float,
                          rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent draws of W for a fixed proposal (batched)."""
-    if C < 0:
-        raise DomainError(f"C must be >= 0, got {C}")
-    if C == 0.0:
-        return np.ones(n)
-    counts = rng.poisson(2.0 * C, size=n)
-    factors = _batch_factors(p, oracle, C, counts, rng)
-    return _segment_products(factors, counts)
+    X, V, C_rows = _replicate_rows(p, C, n)
+    counts = rng.poisson(2.0 * C_rows)
+    return engine._factor_products(X, V, C_rows, np.arange(n), counts, p.t,
+                                   oracle, rng)
 
 
 def two_coin_replicates(p: LangevinProposal, oracle: ScoreOracle, C: float,
@@ -328,43 +157,14 @@ def two_coin_replicates(p: LangevinProposal, oracle: ScoreOracle, C: float,
     scalar total of interior score queries.  Matches the law of
     :func:`two_coin_decision` with ``swap_direction=False``.
     """
-    lh = log_H(p)
-    alpha_prime = float(expit(-(lh + C)))
-    accept = np.zeros(n, dtype=bool)
-    decided = np.zeros(n, dtype=bool)
-    rounds = np.zeros(n, dtype=np.int64)
-    poisson_total = np.zeros(n, dtype=np.int64)
     queries_before = oracle.queries
-    active = np.arange(n)
-    for round_idx in range(1, max_rounds + 1):
-        rounds[active] = round_idx
-        reject_now = rng.uniform(size=active.size) <= alpha_prime
-        decided[active[reject_now]] = True
-        active = active[~reject_now]
-        if active.size == 0:
-            break
-        if C == 0.0:
-            w = np.ones(active.size)
-        else:
-            counts = rng.poisson(2.0 * C, size=active.size)
-            poisson_total[active] += counts
-            factors = _batch_factors(p, oracle, C, counts, rng)
-            w = _segment_products(factors, counts)
-        accept_now = rng.uniform(size=active.size) <= w
-        hit = active[accept_now]
-        accept[hit] = True
-        decided[hit] = True
-        active = active[~accept_now]
-        if active.size == 0:
-            break
-    if active.size > 0:
-        raise NonterminationError(
-            f"{active.size} replicates undecided after {max_rounds} rounds",
-            rounds=max_rounds, c_bound=C, log_h=lh, w_last=float("nan"),
-        )
+    X, V, C_rows = _replicate_rows(p, C, n)
+    log_h = np.broadcast_to(engine.log_h_batch(*p.as_rows(), p.h)[0], (n,))
+    accept, rounds, poisson, _ = engine._two_coin_rounds(
+        X, V, log_h, C_rows, p.t, oracle, rng, max_rounds)
     return {
         "accept": accept,
         "rounds": rounds,
-        "poisson_total": poisson_total,
+        "poisson_total": poisson,
         "score_queries": oracle.queries - queries_before,
     }

@@ -24,21 +24,12 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .adjust_exact import Decision, _poisson_product
-from .errors import ConfigError, DomainError, NonFiniteError
+from . import engine
+from .adjust_exact import Decision
+from .engine import DEFAULT_MAX_ROUNDS, HYBRID_POISSON_CAP
+from .errors import ConfigError, DomainError
 from .proposal import LangevinProposal, log_H
 from .targets import ScoreOracle
-
-# Skip the exact rounds of the hybrid decision when the Poisson mean 2C
-# exceeds this cap; the factory terminates in a handful of rounds only while
-# e^C stays small (its cost grows like e^C), so a loose envelope would
-# otherwise burn the entire round budget without ever deciding.  The selector
-# depends only on C, which is symmetric in (x, x_tilde), so reversibility of
-# the exact branch is kept.
-HYBRID_POISSON_CAP = 4.0
-
-DEFAULT_HYBRID_ROUNDS = 10
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -121,6 +112,12 @@ def rule_by_name(name: str) -> QuadratureRule:
         ) from None
 
 
+def _endpoint_rows(p: LangevinProposal):
+    """(x, v, f(0), f(1), log H) of the proposal as one-row batches."""
+    X, Xt, S, St = p.as_rows()
+    return (X, *engine._endpoint_terms(X, Xt, S, St, p.h))
+
+
 def quadrature_log_ratio(p: LangevinProposal, oracle: ScoreOracle,
                          rule: QuadratureRule) -> float:
     """Newton-Cotes estimate of log p_t(x_tilde) - log p_t(x).
@@ -128,15 +125,9 @@ def quadrature_log_ratio(p: LangevinProposal, oracle: ScoreOracle,
     Interior nodes are evaluated in one batched score call; endpoints reuse
     the cached proposal scores.
     """
-    v = p.displacement
-    total = rule.weights[0] * float(p.score_x @ v)
-    total += rule.weights[-1] * float(p.score_x_tilde @ v)
-    interior = rule.interior_nodes
-    if interior.size:
-        pts = p.x[None, :] + interior[:, None] * v[None, :]
-        integrands = oracle.score(pts, p.t) @ v
-        total += float(rule.weights[1:-1] @ integrands)
-    return total
+    X, V, f0, f1, _ = _endpoint_rows(p)
+    return float(engine._quadrature_log_ratio_batch(X, V, f0, f1, p.t, rule,
+                                                    oracle)[0])
 
 
 def mh_decision_quadrature(p: LangevinProposal, oracle: ScoreOracle,
@@ -147,15 +138,11 @@ def mh_decision_quadrature(p: LangevinProposal, oracle: ScoreOracle,
     Fully in log space: accept iff log U <= min{0, I_hat + log H}.
     """
     queries_before = oracle.queries
-    i_hat = quadrature_log_ratio(p, oracle, rule)
-    if not np.isfinite(i_hat):
-        raise NonFiniteError(f"quadrature log-ratio is {i_hat}")
-    log_alpha = min(0.0, i_hat + log_H(p))
-    accept = np.log(rng.uniform()) <= log_alpha
-    return Decision(outcome="accept" if accept else "reject", rounds=1,
+    accept = engine._quadrature_accept(*_endpoint_rows(p), p.t, rule, oracle,
+                                       rng)
+    return Decision(outcome="accept" if accept[0] else "reject", rounds=1,
                     poisson_total=0,
                     score_queries=oracle.queries - queries_before,
-                    w_last=float(np.exp(log_alpha)),
                     method=f"quadrature:{rule.name}")
 
 
@@ -171,8 +158,7 @@ def oracle_mh_decision(p: LangevinProposal, oracle: ScoreOracle,
     log_alpha = min(0.0, log_r + log_H(p))
     accept = np.log(rng.uniform()) <= log_alpha
     return Decision(outcome="accept" if accept else "reject", rounds=1,
-                    poisson_total=0, score_queries=0,
-                    w_last=float(np.exp(log_alpha)), method="oracle-mh")
+                    poisson_total=0, score_queries=0, method="oracle-mh")
 
 
 def oracle_barker_decision(p: LangevinProposal, oracle: ScoreOracle,
@@ -189,8 +175,7 @@ def oracle_barker_decision(p: LangevinProposal, oracle: ScoreOracle,
     alpha = float(expit(log_r + log_H(p)))
     accept = rng.uniform() <= alpha
     return Decision(outcome="accept" if accept else "reject", rounds=1,
-                    poisson_total=0, score_queries=0,
-                    w_last=alpha, method="oracle-barker")
+                    poisson_total=0, score_queries=0, method="oracle-barker")
 
 
 def hybrid_decision(p: LangevinProposal, oracle: ScoreOracle, C: float,
@@ -204,26 +189,11 @@ def hybrid_decision(p: LangevinProposal, oracle: ScoreOracle, C: float,
     if K < 0:
         raise DomainError(f"K must be >= 0, got {K}")
     queries_before = oracle.queries
-    rounds_done = 0
-    poisson_total = 0
-    if K > 0 and 2.0 * C <= poisson_cap:
-        alpha_prime = float(expit(-(log_H(p) + C)))
-        for round_idx in range(1, K + 1):
-            rounds_done = round_idx
-            if rng.uniform() <= alpha_prime:
-                return Decision(outcome="reject", rounds=round_idx,
-                                poisson_total=poisson_total,
-                                score_queries=oracle.queries - queries_before,
-                                w_last=1.0, method="hybrid:two-coin")
-            w, n = _poisson_product(p, oracle, C, rng)
-            poisson_total += n
-            if rng.uniform() <= w:
-                return Decision(outcome="accept", rounds=round_idx,
-                                poisson_total=poisson_total,
-                                score_queries=oracle.queries - queries_before,
-                                w_last=w, method="hybrid:two-coin")
-    fallback = mh_decision_quadrature(p, oracle, rule, rng)
-    return Decision(outcome=fallback.outcome, rounds=rounds_done + 1,
-                    poisson_total=poisson_total,
+    X, V, f0, f1, logH = _endpoint_rows(p)
+    accept, rounds, poisson, fallback = engine._hybrid_accept(
+        X, V, f0, f1, logH, np.array([float(C)]), p.t, rule, oracle, rng, K,
+        DEFAULT_MAX_ROUNDS, poisson_cap)
+    return Decision(outcome="accept" if accept[0] else "reject",
+                    rounds=int(rounds[0]), poisson_total=int(poisson[0]),
                     score_queries=oracle.queries - queries_before,
-                    w_last=fallback.w_last, method="hybrid:quadrature")
+                    method="hybrid:quadrature" if fallback.size else "hybrid:two-coin")

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import expit, roots_hermite
 
+from .engine import log_h_batch
 from .errors import DomainError
 
 MIN_HERMITE_NODES = 64
@@ -130,11 +131,8 @@ def empirical_scaling_acceptance(d: int, l: float, n_proposals: int,
         xt = x - 0.5 * h * x + np.sqrt(h) * z
         log_r = 0.5 * (np.einsum("ij,ij->i", x, x) -
                        np.einsum("ij,ij->i", xt, xt))
-        fwd = xt - x + 0.5 * h * x
-        bwd = x - xt + 0.5 * h * xt
-        log_h_term = (np.einsum("ij,ij->i", fwd, fwd) -
-                      np.einsum("ij,ij->i", bwd, bwd)) / (2.0 * h)
-        alpha = expit(log_r + log_h_term)
+        # the N(0, I) score is -x
+        alpha = expit(log_r + log_h_batch(x, xt, -x, -xt, h))
         acc = rng.uniform(size=m) <= alpha
         accepted += int(acc.sum())
         jump_sq += float(np.sum((xt - x)[acc] ** 2))

@@ -1,11 +1,17 @@
-"""Vectorised lockstep implementations of the corrector decisions.
+"""Batched kernels: the one implementation of every corrector computation.
 
-Chains are independent, so the sampler runs them in lockstep: one array of
-states, one shared draw per algorithmic event, with masks tracking which
-rows are still undecided inside the two-coin loop.  The math is identical
-to the scalar entry points in :mod:`madm.adjust_exact` and
-:mod:`madm.adjust_quadrature`; those remain the reference implementations
-and the test suite checks both against the same closed-form laws.
+Each concept of the accept/reject machinery lives here once, written for a
+batch of rows: the envelope C (:func:`bound_c_batch`), the proposal
+log-ratio (:func:`log_h_batch`), the Newton-Cotes estimate
+(:func:`_quadrature_log_ratio_batch`), the Poisson product W
+(:func:`_factor_products`) and the two-coin round loop
+(:func:`_two_coin_rounds`).  The sampler runs its chains through them in
+lockstep: one array of states, one shared draw per algorithmic event, with
+masks tracking which rows are still undecided inside the two-coin loop.  The
+one-proposal entry points of :mod:`madm.adjust_exact`,
+:mod:`madm.adjust_quadrature` and :mod:`madm.proposal` run the same kernels
+on one row, and the replicate samplers on broadcast views of one fixed
+proposal, so every path draws from the generator in the same order.
 
 The batched two-coin decision may run each pair in whichever direction is
 cheaper (Barker satisfies alpha(x -> y) = 1 - alpha(y -> x), so negating
@@ -16,20 +22,66 @@ factor in the round count).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit
 
-from .adjust_exact import (BOUNDED_DENOISER, FACTOR_TOLERANCE, LIPSCHITZ,
-                           LIPSCHITZ_SHARP, MANUAL, BoundSpec,
-                           _segment_products)
-from .adjust_quadrature import HYBRID_POISSON_CAP, QuadratureRule
 from .errors import (BoundViolationError, ConfigError, DomainError,
                      NonFiniteError, NonterminationError)
 from .schedule import NoiseSchedule
 from .targets import ScoreOracle
 
 CORRECTOR_KINDS = ("none", "ula", "two-coin", "quadrature", "hybrid", "oracle-mh")
+
+BOUNDED_DENOISER = "bounded-denoiser"
+LIPSCHITZ = "lipschitz"
+LIPSCHITZ_SHARP = "lipschitz-sharp"
+MANUAL = "manual"
+BOUND_STRATEGIES = (BOUNDED_DENOISER, LIPSCHITZ, LIPSCHITZ_SHARP, MANUAL)
+
+# Tolerance band for declaring the envelope violated: factors may stray this
+# far outside [0, 1] from rounding before we call the bound invalid.
+FACTOR_TOLERANCE = 1e-9
+
+DEFAULT_MAX_ROUNDS = 1_000_000
+
+# Skip the exact rounds of the hybrid decision when the Poisson mean 2C
+# exceeds this cap; the factory terminates in a handful of rounds only while
+# e^C stays small (its cost grows like e^C), so a loose envelope would
+# otherwise burn the entire round budget without ever deciding.  The selector
+# depends only on C, which is symmetric in (x, x_tilde), so reversibility of
+# the exact branch is kept.
+HYBRID_POISSON_CAP = 4.0
+
+# Factor rows scored per oracle call inside one Poisson-product draw; bounds
+# the memory of large replicate batches without changing the draws.
+FACTOR_BLOCK = 65_536
+
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """How to compute the integrand envelope C for a proposal.
+
+    ``value`` overrides the oracle's declared constant (b for the bounded
+    denoiser, L for the Lipschitz route, C itself for ``manual``); when None
+    the oracle capability is used.
+    """
+
+    strategy: str
+    value: Optional[float] = None
+
+    def __post_init__(self):
+        if self.strategy not in BOUND_STRATEGIES:
+            raise ConfigError(
+                f"unknown bound strategy {self.strategy!r}; "
+                f"expected one of {BOUND_STRATEGIES}"
+            )
+        if self.value is not None:
+            if not np.isfinite(self.value) or self.value < 0:
+                raise DomainError(
+                    f"bound value must be finite and >= 0, got {self.value}"
+                )
 
 
 @dataclass
@@ -59,20 +111,66 @@ def _require_finite_rows(arr: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"non-finite {what} at chain {row}")
 
 
+def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", A, B)
+
+
+def _take_rows(A: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A[rows]; an array broadcast along its rows (stride 0, as the replicate
+    samplers pass) holds one row, returned to broadcast instead of gathered."""
+    return A[:1] if A.strides[0] == 0 else A[rows]
+
+
+def _segment_products(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Product of consecutive ``factors`` segments of the given lengths."""
+    out = np.ones(counts.shape[0])
+    mask = counts > 0
+    if not np.any(mask):
+        return out
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    out[mask] = np.multiply.reduceat(factors, starts[mask])
+    return out
+
+
 def bound_c_batch(X, Xt, S, St, t, spec: BoundSpec, schedule: NoiseSchedule,
                   oracle: ScoreOracle) -> np.ndarray:
-    """Row-wise envelope C, checked against the endpoint integrands."""
+    """Row-wise envelope C(x, x_tilde) dominating the line integrand.
+
+    Bounded-denoiser route (Tweedie: the posterior mean of the clean data
+    lies in a centred ball of radius b):
+
+        C = (b r_t + max(||x||, ||x_tilde||)) / (r_t^2 sigma_t^2) * ||v||
+
+    Lipschitz route (score L-Lipschitz; only the one-sided condition is
+    actually needed):
+
+        C = max(||s(x)||, ||s(x_tilde)||) ||v|| + (L/2) ||v||^2
+
+    Sharp Lipschitz route: under the same assumption the integrand itself is
+    (L ||v||^2)-Lipschitz on [0, 1], and with both endpoint values in hand
+
+        C = (|f(0)| + |f(1)| + L ||v||^2) / 2
+
+    dominates the whole segment.  It is never larger than the plain route
+    and is exactly tight for affine integrands (Gaussian targets), which
+    collapses the e^C tail of the loop's round count.
+
+    Each row's C is checked against its endpoint integrands: C must dominate
+    |f(0)| and |f(1)| or the bound is rejected outright.
+    """
     V = Xt - X
     norm_v = np.linalg.norm(V, axis=1)
-    f0 = np.einsum("ij,ij->i", S, V)
-    f1 = np.einsum("ij,ij->i", St, V)
+    f0 = _row_dot(S, V)
+    f1 = _row_dot(St, V)
     if spec.strategy == BOUNDED_DENOISER:
         b = spec.value if spec.value is not None else oracle.denoiser_bound
         if b is None:
             raise ConfigError(f"oracle {oracle.name!r} declares no denoiser bound")
         r, sigma = schedule.marginal_params(t)
         if sigma <= 0:
-            raise DomainError(f"bounded-denoiser bound undefined at t={t}")
+            raise DomainError(f"bounded-denoiser bound undefined at t={t} "
+                              "(sigma_t = 0)")
         reach = np.maximum(np.linalg.norm(X, axis=1), np.linalg.norm(Xt, axis=1))
         c = (b * r + reach) / (r * r * sigma * sigma) * norm_v
     elif spec.strategy in (LIPSCHITZ, LIPSCHITZ_SHARP):
@@ -104,39 +202,61 @@ def bound_c_batch(X, Xt, S, St, t, spec: BoundSpec, schedule: NoiseSchedule,
 
 
 def log_h_batch(X, Xt, S, St, h: float) -> np.ndarray:
+    """Row-wise log of the proposal ratio q(x | x_tilde) / q(x_tilde | x)."""
     fwd = Xt - X - 0.5 * h * S
     bwd = X - Xt - 0.5 * h * St
-    return (np.einsum("ij,ij->i", fwd, fwd) -
-            np.einsum("ij,ij->i", bwd, bwd)) / (2.0 * h)
+    return (_row_dot(fwd, fwd) - _row_dot(bwd, bwd)) / (2.0 * h)
 
 
-def _factor_products(Xa, Va, C, active, counts, t, oracle, rng):
-    """W draws for the active rows given their Poisson counts."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.ones(active.size)
-    rep = np.repeat(np.arange(active.size), counts)
-    u = rng.uniform(size=total)
-    pts = Xa[active][rep] + u[:, None] * Va[active][rep]
-    scores = oracle.score(pts, t)
-    integrands = np.einsum("ij,ij->i", scores, Va[active][rep])
-    factors = 0.5 + integrands / (2.0 * C[active][rep])
-    out_of_band = (factors < -FACTOR_TOLERANCE) | (factors > 1.0 + FACTOR_TOLERANCE)
-    if np.any(out_of_band):
-        row = int(active[rep[np.flatnonzero(out_of_band)[0]]])
-        raise BoundViolationError(
-            f"line integrand escapes the envelope at chain {row}"
-        )
-    return _segment_products(np.clip(factors, 0.0, 1.0), counts)
+def _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains=None):
+    """W draws for the active rows given their Poisson counts.
+
+    Factor rows are scored ``FACTOR_BLOCK`` at a time, each block drawing its
+    uniforms just before its score call; consecutive draws equal one draw of
+    all the uniforms, so the blocking leaves the stream unchanged.
+    ``chains`` maps rows to the chain numbers that errors report.
+    """
+    rep = np.repeat(active, counts)
+    factors = np.empty(rep.size)
+    for lo in range(0, rep.size, FACTOR_BLOCK):
+        rows = rep[lo:lo + FACTOR_BLOCK]
+        u = rng.uniform(size=rows.size)
+        v = _take_rows(Va, rows)
+        pts = _take_rows(Xa, rows) + u[:, None] * v
+        integrands = _row_dot(oracle.score(pts, t), v)
+        block = 0.5 + integrands / (2.0 * _take_rows(C, rows))
+        # min and max propagate NaN, which fails both comparisons
+        if not (block.min() >= -FACTOR_TOLERANCE
+                and block.max() <= 1.0 + FACTOR_TOLERANCE):
+            _envelope_error(block, integrands, rows, C, chains)
+        np.clip(block, 0.0, 1.0, out=factors[lo:lo + rows.size])
+    return _segment_products(factors, counts)
+
+
+def _envelope_error(block, integrands, rows, C, chains):
+    """Raise for the first factor outside the band, naming its chain."""
+    inside = (block >= -FACTOR_TOLERANCE) & (block <= 1.0 + FACTOR_TOLERANCE)
+    i = int(np.flatnonzero(~inside)[0])
+    row = int(rows[i])
+    chain = row if chains is None else int(chains[row])
+    if not np.isfinite(integrands[i]):
+        raise NonFiniteError(f"non-finite interior score at chain {chain}")
+    raise BoundViolationError(
+        f"line integrand {integrands[i]:.6g} escapes the envelope "
+        f"C={C[row]:.6g} at chain {chain}"
+    )
 
 
 def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
-                     round_limit=None):
+                     round_limit=None, chains=None):
     """Masked two-coin rounds; returns per-row frame outcomes.
 
+    Each round rejects outright with probability alpha' = (1 + H e^C)^{-1},
+    otherwise accepts with probability W, otherwise restarts.
     ``round_limit`` caps the number of rounds without treating the cap as an
-    error (hybrid use); rows still undecided are reported in the third
-    return value.  Without it, exhausting ``max_rounds`` raises.
+    error (hybrid use); rows still undecided are reported in the fourth
+    return value.  Without it, exhausting ``max_rounds`` raises.  ``chains``
+    maps rows to the chain numbers that errors report.
     """
     n = Xa.shape[0]
     alpha_prime = expit(-(log_h_a + C))
@@ -151,43 +271,57 @@ def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
         active = active[~reject_now]
         if active.size == 0:
             break
-        lam = 2.0 * C[active]
-        counts = rng.poisson(lam)
+        counts = rng.poisson(2.0 * _take_rows(C, active), size=active.size)
         poisson[active] += counts
-        w = _factor_products(Xa, Va, C, active, counts, t, oracle, rng)
+        w = _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains)
         accept_now = rng.uniform(size=active.size) <= w
         frame_accept[active[accept_now]] = True
         active = active[~accept_now]
         if active.size == 0:
             break
     if active.size and round_limit is None:
+        first = int(active[0])
         raise NonterminationError(
             f"two-coin loop undecided for {active.size} chains after "
-            f"{max_rounds} rounds (first stuck chain {int(active[0])})",
-            rounds=max_rounds, c_bound=float(C[active[0]]),
-            log_h=float(log_h_a[active[0]]), w_last=float("nan"),
+            f"{max_rounds} rounds (first stuck chain "
+            f"{first if chains is None else int(chains[first])})",
+            rounds=max_rounds, c_bound=float(C[first]),
+            log_h=float(log_h_a[first]), w_last=float("nan"),
         )
     return frame_accept, rounds, poisson, active
 
 
-def _two_coin_accept(X, Xt, S, St, logH, C, t, oracle, rng, max_rounds):
-    """Direction-swapped exact Barker decisions for every row."""
+def _endpoint_terms(X, Xt, S, St, h):
+    """(v, f(0), f(1), log H) per row, from the cached endpoint scores."""
     V = Xt - X
-    f0 = np.einsum("ij,ij->i", S, V)
-    f1 = np.einsum("ij,ij->i", St, V)
-    swap = logH > 0.5 * (f0 + f1)
+    return V, _row_dot(S, V), _row_dot(St, V), log_h_batch(X, Xt, S, St, h)
+
+
+def _swap_rows(f0, f1, logH):
+    """Rows cheaper to decide from x_tilde: log H above the trapezoid
+    estimate (f(0) + f(1)) / 2 of log r."""
+    return logH > 0.5 * (f0 + f1)
+
+
+def _two_coin_accept(X, Xt, logH, C, swap, t, oracle, rng, max_rounds):
+    """Exact Barker decisions, running the ``swap`` rows from x_tilde."""
+    V = Xt - X
     Xa = np.where(swap[:, None], Xt, X)
     Va = np.where(swap[:, None], -V, V)
     log_h_a = np.where(swap, -logH, logH)
     frame_accept, rounds, poisson, _ = _two_coin_rounds(
         Xa, Va, log_h_a, C, t, oracle, rng, max_rounds)
-    accept = frame_accept ^ swap
-    return accept, rounds, poisson
+    return frame_accept ^ swap, rounds, poisson
 
 
-def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule: QuadratureRule,
+def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule,
                                 oracle: ScoreOracle, rows=None) -> np.ndarray:
-    """Row-wise Newton-Cotes estimate; endpoints come in precomputed."""
+    """Row-wise Newton-Cotes estimate of log p_t(x_tilde) - log p_t(x).
+
+    ``rule`` is a :class:`madm.adjust_quadrature.QuadratureRule`.  The
+    endpoint integrands come in precomputed; the interior nodes of all rows
+    are scored in one call.
+    """
     idx = np.arange(X.shape[0]) if rows is None else rows
     total = rule.weights[0] * f0[idx] + rule.weights[-1] * f1[idx]
     interior = rule.interior_nodes
@@ -196,8 +330,7 @@ def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule: QuadratureRule,
         # node-major stack: rows for node u_1, then node u_2, ...
         pts = (X[idx][None, :, :] + interior[:, None, None] * V[idx][None, :, :])
         scores = oracle.score(pts.reshape(-1, X.shape[1]), t)
-        integrands = np.einsum("ij,ij->i", scores,
-                               np.tile(V[idx], (interior.size, 1)))
+        integrands = _row_dot(scores, np.tile(V[idx], (interior.size, 1)))
         total = total + rule.weights[1:-1] @ integrands.reshape(interior.size, m)
     if not np.all(np.isfinite(total)):
         row = int(idx[np.flatnonzero(~np.isfinite(total))[0]])
@@ -205,10 +338,48 @@ def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule: QuadratureRule,
     return total
 
 
+def _quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng, rows=None):
+    """MH decisions with the Newton-Cotes estimate in place of log r:
+    accept iff log U <= min{0, I_hat + log H}, for ``rows`` in that order."""
+    i_hat = _quadrature_log_ratio_batch(X, V, f0, f1, t, rule, oracle, rows=rows)
+    log_alpha = np.minimum(0.0, i_hat + (logH if rows is None else logH[rows]))
+    return np.log(rng.uniform(size=log_alpha.size)) <= log_alpha
+
+
+def _hybrid_accept(X, V, f0, f1, logH, C, t, rule, oracle, rng,
+                   hybrid_rounds, max_rounds, poisson_cap):
+    """At most ``hybrid_rounds`` exact rounds, then the quadrature fallback.
+
+    Rows with 2C above ``poisson_cap``, and every row when
+    ``hybrid_rounds`` is 0, skip the exact rounds.  Returns the decisions,
+    the rounds per row (the fallback counts as one), the Poisson totals per
+    row and the rows the fallback decided.
+    """
+    n = X.shape[0]
+    accept = np.zeros(n, dtype=bool)
+    rounds = np.zeros(n, dtype=np.int64)
+    poisson = np.zeros(n, dtype=np.int64)
+    exact = (2.0 * C <= poisson_cap) & (hybrid_rounds > 0)
+    fallback = np.flatnonzero(~exact)
+    if np.any(exact):
+        rows = np.flatnonzero(exact)
+        frame_accept, rounds[rows], poisson[rows], still = _two_coin_rounds(
+            X[rows], V[rows], logH[rows], C[rows], t, oracle, rng,
+            max_rounds, round_limit=hybrid_rounds, chains=rows)
+        # rows still undecided are overwritten by the fallback below
+        accept[rows] = frame_accept
+        fallback = np.concatenate([fallback, rows[still]])
+    if fallback.size:
+        accept[fallback] = _quadrature_accept(X, V, f0, f1, logH, t, rule,
+                                              oracle, rng, rows=fallback)
+        rounds[fallback] += 1
+    return accept, rounds, poisson, fallback
+
+
 def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                     rng: np.random.Generator, *, schedule=None, bound=None,
                     rule=None, hybrid_rounds: int = 10,
-                    max_rounds: int = 1_000_000,
+                    max_rounds: int = DEFAULT_MAX_ROUNDS,
                     poisson_cap: float = HYBRID_POISSON_CAP):
     """One corrector step for every chain; returns (X', S', stats).
 
@@ -234,58 +405,28 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
         stats.score_queries = oracle.queries - queries_before
         return Xt, St, stats
 
-    V = Xt - X
-    logH = log_h_batch(X, Xt, S, St, h)
-
+    V, f0, f1, logH = _endpoint_terms(X, Xt, S, St, h)
+    rounds, poisson = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     if kind == "two-coin":
         C = bound_c_batch(X, Xt, S, St, t, bound, schedule, oracle)
         accept, rounds, poisson = _two_coin_accept(
-            X, Xt, S, St, logH, C, t, oracle, rng, max_rounds)
-        stats.rounds_total = int(rounds.sum())
-        stats.poisson_total = int(poisson.sum())
+            X, Xt, logH, C, _swap_rows(f0, f1, logH), t, oracle, rng,
+            max_rounds)
     elif kind == "oracle-mh":
         log_r = oracle.log_density(Xt, t) - oracle.log_density(X, t)
         log_alpha = np.minimum(0.0, log_r + logH)
         accept = np.log(rng.uniform(size=n)) <= log_alpha
-        stats.rounds_total = n
     elif kind == "quadrature":
-        f0 = np.einsum("ij,ij->i", S, V)
-        f1 = np.einsum("ij,ij->i", St, V)
-        i_hat = _quadrature_log_ratio_batch(X, V, f0, f1, t, rule, oracle)
-        log_alpha = np.minimum(0.0, i_hat + logH)
-        accept = np.log(rng.uniform(size=n)) <= log_alpha
-        stats.rounds_total = n
-    elif kind == "hybrid":
+        accept = _quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng)
+    else:  # hybrid
         C = bound_c_batch(X, Xt, S, St, t, bound, schedule, oracle)
-        f0 = np.einsum("ij,ij->i", S, V)
-        f1 = np.einsum("ij,ij->i", St, V)
-        accept = np.zeros(n, dtype=bool)
-        tractable = 2.0 * C <= poisson_cap
-        rounds_used = np.zeros(n, dtype=np.int64)
-        undecided = np.flatnonzero(~tractable)
-        if hybrid_rounds > 0 and np.any(tractable):
-            rows = np.flatnonzero(tractable)
-            frame_accept, rounds, poisson, still = _two_coin_rounds(
-                X[rows], V[rows], logH[rows], C[rows], t, oracle, rng,
-                max_rounds, round_limit=hybrid_rounds)
-            # rows that terminated inside the round budget are final
-            done = np.ones(rows.size, dtype=bool)
-            done[still] = False
-            accept[rows[done]] = frame_accept[done]
-            rounds_used[rows] = rounds
-            stats.poisson_total = int(poisson.sum())
-            undecided = np.concatenate([undecided, rows[still]])
-        if undecided.size:
-            i_hat = _quadrature_log_ratio_batch(X, V, f0, f1, t, rule,
-                                                oracle, rows=undecided)
-            log_alpha = np.minimum(0.0, i_hat + logH[undecided])
-            accept[undecided] = (np.log(rng.uniform(size=undecided.size))
-                                 <= log_alpha)
-        stats.rounds_total = int(rounds_used.sum()) + int(undecided.size)
-    else:  # pragma: no cover
-        raise ConfigError(f"unsupported corrector kind {kind!r}")
+        accept, rounds, poisson, _ = _hybrid_accept(
+            X, V, f0, f1, logH, C, t, rule, oracle, rng, hybrid_rounds,
+            max_rounds, poisson_cap)
 
     stats.accepted = int(accept.sum())
+    stats.rounds_total = int(rounds.sum())
+    stats.poisson_total = int(poisson.sum())
     stats.jump_sq_total = float(np.sum(V[accept] ** 2))
     stats.score_queries = oracle.queries - queries_before
     X_new = np.where(accept[:, None], Xt, X)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import log_h_batch
 from .errors import DomainError, NonFiniteError
 from .targets import ScoreOracle
 
@@ -47,6 +48,11 @@ class LangevinProposal:
     @property
     def displacement(self) -> np.ndarray:
         return self.x_tilde - self.x
+
+    def as_rows(self):
+        """(x, x_tilde, s(x), s(x_tilde)) as one-row batches for the engine."""
+        return (self.x[None, :], self.x_tilde[None, :], self.score_x[None, :],
+                self.score_x_tilde[None, :])
 
     def reversed(self) -> "LangevinProposal":
         """The same pair viewed as a move from x_tilde to x."""
@@ -96,9 +102,7 @@ def make_proposal(x, x_tilde, oracle: ScoreOracle, t: float,
 
 def log_H(p: LangevinProposal) -> float:
     """log of the proposal ratio q(x | x_tilde) / q(x_tilde | x)."""
-    fwd = p.x_tilde - p.x - 0.5 * p.h * p.score_x
-    bwd = p.x - p.x_tilde - 0.5 * p.h * p.score_x_tilde
-    return float((fwd @ fwd - bwd @ bwd) / (2.0 * p.h))
+    return float(log_h_batch(*p.as_rows(), p.h)[0])
 
 
 def line_integrand(p: LangevinProposal, oracle: ScoreOracle, u: float) -> float:

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import diagnostics
-from .adjust_exact import (expected_queries, expected_rounds,
-                           poisson_w_replicates, two_coin_replicates)
-from .adjust_quadrature import composite, rule_by_name, simpson13
+from . import diagnostics, engine
+from .adjust_exact import (BoundSpec, bound_C, expected_queries,
+                           expected_rounds, poisson_w_replicates,
+                           two_coin_replicates)
+from .adjust_quadrature import (composite, quadrature_log_ratio, rule_by_name,
+                                simpson13)
 from .config import RunConfig, config_from_dict
 from .errors import ConfigError
 from .proposal import LangevinProposal, log_H, make_proposal
@@ -73,8 +75,6 @@ def _exactness_cases(rng: np.random.Generator, count: int):
     mixtures (bounded-denoiser envelope).  Cases whose H e^C exceeds 50 are
     redrawn so the geometric round count stays small.
     """
-    from .adjust_exact import BoundSpec, bound_C
-
     cases = []
     edm = NoiseSchedule.edm()
     while len(cases) < count:
@@ -174,25 +174,20 @@ def quadrature_order_study(seed: int = 3, n_proposals: int = 1000,
     oracle = quartic_perturbed_oracle()
     rules = {name: rule_by_name(name) for name in
              ("trapezoid", "simpson13", "simpson38")}
-    x0 = _quartic_perturbed_sample(n_proposals, rng)
-    z0 = rng.standard_normal(n_proposals)
+    x0 = _quartic_perturbed_sample(n_proposals, rng)[:, None]
+    z0 = rng.standard_normal((n_proposals, 1))
+    s0 = oracle.score(x0, 1.0)
     h_values = np.array([2.0 ** -k for k in k_range])
     errors = {name: [] for name in rules}
-
-    def score(x):
-        return -x ** 3 + 0.1 * np.sin(x)
-
-    def logp(x):
-        return -x ** 4 / 4.0 - 0.1 * np.cos(x)
-
     for h in h_values:
-        xt = x0 + 0.5 * h * score(x0) + np.sqrt(h) * z0
+        xt = x0 + 0.5 * h * s0 + np.sqrt(h) * z0
         v = xt - x0
-        exact = logp(xt) - logp(x0)
+        f0 = engine._row_dot(s0, v)
+        f1 = engine._row_dot(oracle.score(xt, 1.0), v)
+        exact = oracle.log_density(xt, 1.0) - oracle.log_density(x0, 1.0)
         for name, rule in rules.items():
-            nodes = rule.nodes[None, :]
-            f = score(x0[:, None] + nodes * v[:, None]) * v[:, None]
-            i_hat = f @ rule.weights
+            i_hat = engine._quadrature_log_ratio_batch(x0, v, f0, f1, 1.0,
+                                                       rule, oracle)
             errors[name].append(float(np.mean(np.abs(i_hat - exact))))
     fits = {name: diagnostics.order_fit(h_values, np.array(vals))
             for name, vals in errors.items()}
@@ -285,8 +280,6 @@ def suite_line_integral_identity(seed: int = 5, pairs_per_target: int = 20,
             x = rng.uniform(-spread, spread, size=dim)
             x_tilde = x + rng.uniform(-0.8, 0.8, size=dim)
             prop = make_proposal(x, x_tilde, oracle, t=t, h=0.1)
-            from .adjust_quadrature import quadrature_log_ratio
-
             approx = quadrature_log_ratio(prop, oracle, rule)
             exact = float(oracle.log_density(x_tilde, t) -
                           oracle.log_density(x, t))

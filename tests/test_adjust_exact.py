@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from madm import engine
 from madm.adjust_exact import (BoundSpec, Decision, bound_C, expected_queries,
                                expected_rounds, poisson_product_W,
                                poisson_w_replicates, two_coin_decision,
                                two_coin_replicates)
 from madm.errors import (BoundViolationError, ConfigError, DomainError,
-                         NonterminationError)
+                         NonFiniteError, NonterminationError)
 from madm.proposal import LangevinProposal, log_H, make_proposal
 from madm.schedule import NoiseSchedule
-from madm.targets import (Dataset2D, diffused_empirical_oracle,
+from madm.targets import (Dataset2D, ScoreOracle, diffused_empirical_oracle,
                           gaussian_oracle, quartic_oracle)
 
 R_FIXTURE = float(np.exp(-0.5))  # density ratio of x=0 -> x=1 under N(0,1)
@@ -223,7 +224,6 @@ def test_two_coin_records_cost_fields():
     assert d.rounds >= 1
     assert d.poisson_total >= 0
     assert d.score_queries == d.poisson_total
-    assert 0.0 <= d.w_last <= 1.0
 
 
 def test_two_coin_nontermination_carries_diagnostics():
@@ -236,6 +236,53 @@ def test_two_coin_nontermination_carries_diagnostics():
     err = excinfo.value
     assert err.rounds == 25
     assert err.c_bound == 30.0
+
+
+def _nan_interior_proposal():
+    """The fixture pair on an oracle whose scores turn NaN after the two
+    cached endpoint evaluations."""
+    calls = {"n": 0}
+
+    def score(x, t):
+        calls["n"] += 1
+        return np.full_like(x, np.nan) if calls["n"] > 2 else -x
+
+    oracle = ScoreOracle(dim=1, score_fn=score)
+    return oracle, make_proposal(np.array([0.0]), np.array([1.0]), oracle,
+                                 t=1.0, h=0.5)
+
+
+def test_two_coin_decision_rejects_nonfinite_interior_score():
+    oracle, p = _nan_interior_proposal()
+    # with C = 30 the first coin (1 + H e^C)^{-1} essentially never rejects
+    with pytest.raises(NonFiniteError, match="interior score at chain 0"):
+        two_coin_decision(p, oracle, 30.0, np.random.default_rng(13))
+
+
+def test_two_coin_replicates_reject_nonfinite_interior_score():
+    oracle, p = _nan_interior_proposal()
+    with pytest.raises(NonFiniteError, match="interior score at chain"):
+        two_coin_replicates(p, oracle, 1.5, np.random.default_rng(14), 500)
+
+
+def test_replicates_do_not_depend_on_the_factor_block(monkeypatch):
+    oracle = gaussian_oracle(np.array([0.3, -0.1]), 1.7)
+    p = make_proposal(np.array([0.5, 1.0]), np.array([0.2, 0.6]), oracle,
+                      t=1.0, h=0.3)
+    c = bound_C(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
+
+    def run():
+        rep = two_coin_replicates(p, oracle, c, np.random.default_rng(15), 3000)
+        w = poisson_w_replicates(p, oracle, c, np.random.default_rng(16), 3000)
+        return rep, w
+
+    rep, w = run()
+    monkeypatch.setattr(engine, "FACTOR_BLOCK", 7)
+    rep7, w7 = run()
+    for key in ("accept", "rounds", "poisson_total"):
+        np.testing.assert_array_equal(rep7[key], rep[key])
+    assert rep7["score_queries"] == rep["score_queries"]
+    np.testing.assert_array_equal(w7, w)
 
 
 # -- closed-form cost ------------------------------------------------------------
@@ -269,14 +316,9 @@ def test_cost_argument_domains(bad):
 
 def test_decision_validates_fields():
     with pytest.raises(DomainError):
-        Decision(outcome="maybe", rounds=1, poisson_total=0, score_queries=0,
-                 w_last=0.5)
+        Decision(outcome="maybe", rounds=1, poisson_total=0, score_queries=0)
     with pytest.raises(DomainError):
-        Decision(outcome="accept", rounds=0, poisson_total=0, score_queries=0,
-                 w_last=0.5)
-    with pytest.raises(DomainError):
-        Decision(outcome="accept", rounds=1, poisson_total=0, score_queries=0,
-                 w_last=1.5)
+        Decision(outcome="accept", rounds=0, poisson_total=0, score_queries=0)
 
 
 def test_bound_spec_validates():
