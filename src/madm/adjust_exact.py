@@ -15,11 +15,13 @@ evaluating the density ratio r.  Each round rejects outright with
 probability alpha' = (1 + H e^C)^{-1}, otherwise accepts with probability W,
 otherwise restarts; rounds are geometric with success (1 + Hr)/(1 + H e^C)
 and the expected number of interior score queries is 2 C H e^C / (1 + Hr).
+
+The decisions run in :mod:`madm.engine`; this module holds the envelope of
+one proposal, the closed-form costs and the replicate samplers that the
+verification suites replay on one fixed proposal.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,27 +31,6 @@ from .errors import DomainError
 from .proposal import LangevinProposal
 from .schedule import NoiseSchedule
 from .targets import ScoreOracle
-
-
-@dataclass
-class Decision:
-    """Accept/reject outcome annotated with its sampling cost."""
-
-    outcome: str
-    rounds: int
-    poisson_total: int
-    score_queries: int
-    method: str = "two-coin"
-
-    def __post_init__(self):
-        if self.outcome not in ("accept", "reject"):
-            raise DomainError(f"outcome must be accept/reject, got {self.outcome}")
-        if self.rounds < 1:
-            raise DomainError(f"rounds must be >= 1, got {self.rounds}")
-
-    @property
-    def accepted(self) -> bool:
-        return self.outcome == "accept"
 
 
 def _check_c(C: float) -> None:
@@ -68,41 +49,6 @@ def bound_C(p: LangevinProposal, spec: BoundSpec, schedule: NoiseSchedule,
     """
     return float(engine.bound_c_batch(*p.as_rows(), p.t, spec, schedule,
                                       oracle)[0])
-
-
-def poisson_product_W(p: LangevinProposal, oracle: ScoreOracle, C: float,
-                      rng: np.random.Generator) -> float:
-    """Unbiased [0, 1] estimator W with e^C E[W] = density ratio r.
-
-    C = 0 (or a Poisson draw of 0) returns 1 under the 0^0 = 1 convention.
-    """
-    return float(poisson_w_replicates(p, oracle, C, rng, 1)[0])
-
-
-def two_coin_decision(p: LangevinProposal, oracle: ScoreOracle, C: float,
-                      rng: np.random.Generator,
-                      max_rounds: int = DEFAULT_MAX_ROUNDS,
-                      swap_direction: bool = False) -> Decision:
-    """Exact Barker accept/reject for the proposal via the two-coin loop.
-
-    With ``swap_direction`` the loop may run on the reversed pair and negate
-    the answer: Barker satisfies alpha(x -> x') = 1 - alpha(x' -> x), so the
-    decision law is unchanged, but the round count stays manageable when
-    H e^C is astronomically larger than r e^C.  The direction is chosen from
-    cached endpoint quantities only, so it is deterministic per pair.
-    """
-    if max_rounds < 1:
-        raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
-    _check_c(C)
-    queries_before = oracle.queries
-    X, Xt, S, St = p.as_rows()
-    _, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, p.h)
-    swap = engine._swap_rows(f0, f1, logH) & swap_direction
-    accept, rounds, poisson = engine._two_coin_accept(
-        X, Xt, logH, np.array([float(C)]), swap, p.t, oracle, rng, max_rounds)
-    return Decision(outcome="accept" if accept[0] else "reject",
-                    rounds=int(rounds[0]), poisson_total=int(poisson[0]),
-                    score_queries=oracle.queries - queries_before)
 
 
 def expected_rounds(C: float, H: float, r: float) -> float:
@@ -154,8 +100,9 @@ def two_coin_replicates(p: LangevinProposal, oracle: ScoreOracle, C: float,
     """n independent two-coin decisions for a fixed proposal (batched).
 
     Returns arrays: ``accept`` (bool), ``rounds``, ``poisson_total`` and the
-    scalar total of interior score queries.  Matches the law of
-    :func:`two_coin_decision` with ``swap_direction=False``.
+    scalar total of interior score queries.  Each frame runs from x, without
+    the direction swap of :func:`madm.engine.corrector_sweep`; both have
+    Barker's acceptance law.
     """
     queries_before = oracle.queries
     X, V, C_rows = _replicate_rows(p, C, n)

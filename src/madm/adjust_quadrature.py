@@ -11,9 +11,12 @@ Simpson 3/8 two.  Truncation errors are governed by derivatives of the
 integrand, giving O(h^{3/2}) accuracy for the trapezoid rule and O(h^{5/2})
 for both Simpson rules as the Langevin step h shrinks.
 
-The hybrid decision tries a capped number of exact two-coin rounds first and
-falls back to the quadrature MH decision, bounding worst-case cost while
-keeping the exact update whenever the factory terminates in time.
+This module holds the rules and the estimate for one fixed proposal; the MH
+and hybrid decisions run batched in :mod:`madm.engine`
+(``_quadrature_accept`` and ``_hybrid_accept``).  The hybrid tries a capped
+number of exact two-coin rounds first and falls back to the quadrature MH
+decision, bounding worst-case cost while keeping the exact update whenever
+the factory terminates in time.
 """
 
 from __future__ import annotations
@@ -22,14 +25,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from . import engine
-from .adjust_exact import Decision
-from .engine import DEFAULT_MAX_ROUNDS, HYBRID_POISSON_CAP
 from .errors import ConfigError, DomainError
-from .proposal import LangevinProposal, log_H
+from .proposal import LangevinProposal
 from .targets import ScoreOracle
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -112,12 +113,6 @@ def rule_by_name(name: str) -> QuadratureRule:
         ) from None
 
 
-def _endpoint_rows(p: LangevinProposal):
-    """(x, v, f(0), f(1), log H) of the proposal as one-row batches."""
-    X, Xt, S, St = p.as_rows()
-    return (X, *engine._endpoint_terms(X, Xt, S, St, p.h))
-
-
 def quadrature_log_ratio(p: LangevinProposal, oracle: ScoreOracle,
                          rule: QuadratureRule) -> float:
     """Newton-Cotes estimate of log p_t(x_tilde) - log p_t(x).
@@ -125,75 +120,7 @@ def quadrature_log_ratio(p: LangevinProposal, oracle: ScoreOracle,
     Interior nodes are evaluated in one batched score call; endpoints reuse
     the cached proposal scores.
     """
-    X, V, f0, f1, _ = _endpoint_rows(p)
+    X, Xt, S, St = p.as_rows()
+    V, f0, f1, _ = engine._endpoint_terms(X, Xt, S, St, p.h)
     return float(engine._quadrature_log_ratio_batch(X, V, f0, f1, p.t, rule,
                                                     oracle)[0])
-
-
-def mh_decision_quadrature(p: LangevinProposal, oracle: ScoreOracle,
-                           rule: QuadratureRule,
-                           rng: np.random.Generator) -> Decision:
-    """MH accept/reject with the quadrature estimate in place of log r.
-
-    Fully in log space: accept iff log U <= min{0, I_hat + log H}.
-    """
-    queries_before = oracle.queries
-    accept = engine._quadrature_accept(*_endpoint_rows(p), p.t, rule, oracle,
-                                       rng)
-    return Decision(outcome="accept" if accept[0] else "reject", rounds=1,
-                    poisson_total=0,
-                    score_queries=oracle.queries - queries_before,
-                    method=f"quadrature:{rule.name}")
-
-
-def oracle_mh_decision(p: LangevinProposal, oracle: ScoreOracle,
-                       rng: np.random.Generator) -> Decision:
-    """Exact MALA decision from the target's closed-form log-density.
-
-    Ground-truth baseline for targets that expose log p; the sampling
-    algorithms under study never get to use it.
-    """
-    log_r = float(oracle.log_density(p.x_tilde, p.t) -
-                  oracle.log_density(p.x, p.t))
-    log_alpha = min(0.0, log_r + log_H(p))
-    accept = np.log(rng.uniform()) <= log_alpha
-    return Decision(outcome="accept" if accept else "reject", rounds=1,
-                    poisson_total=0, score_queries=0, method="oracle-mh")
-
-
-def oracle_barker_decision(p: LangevinProposal, oracle: ScoreOracle,
-                           rng: np.random.Generator) -> Decision:
-    """Barker decision from the closed-form log-density (ground truth).
-
-    Distribution-identical to the two-coin decision; used where replaying
-    the factory is prohibitively expensive (e.g. high-dimensional scaling
-    studies, where the envelope C grows with d and the factory's cost
-    grows like e^C).
-    """
-    log_r = float(oracle.log_density(p.x_tilde, p.t) -
-                  oracle.log_density(p.x, p.t))
-    alpha = float(expit(log_r + log_H(p)))
-    accept = rng.uniform() <= alpha
-    return Decision(outcome="accept" if accept else "reject", rounds=1,
-                    poisson_total=0, score_queries=0, method="oracle-barker")
-
-
-def hybrid_decision(p: LangevinProposal, oracle: ScoreOracle, C: float,
-                    rule: QuadratureRule, K: int, rng: np.random.Generator,
-                    poisson_cap: float = HYBRID_POISSON_CAP) -> Decision:
-    """At most K exact two-coin rounds, then the quadrature MH fallback.
-
-    K = 0 (or 2C above ``poisson_cap``) goes straight to the fallback.  The
-    Decision's ``method`` records which path decided.
-    """
-    if K < 0:
-        raise DomainError(f"K must be >= 0, got {K}")
-    queries_before = oracle.queries
-    X, V, f0, f1, logH = _endpoint_rows(p)
-    accept, rounds, poisson, fallback = engine._hybrid_accept(
-        X, V, f0, f1, logH, np.array([float(C)]), p.t, rule, oracle, rng, K,
-        DEFAULT_MAX_ROUNDS, poisson_cap)
-    return Decision(outcome="accept" if accept[0] else "reject",
-                    rounds=int(rounds[0]), poisson_total=int(poisson[0]),
-                    score_queries=oracle.queries - queries_before,
-                    method="hybrid:quadrature" if fallback.size else "hybrid:two-coin")

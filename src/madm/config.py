@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import engine
+from .adjust_quadrature import RULES
 from .errors import ConfigError
 from .schedule import NoiseSchedule, SCHEDULE_KINDS
 from .targets import (DATASET_NAMES, ScoreOracle, diffused_empirical_oracle,
@@ -25,8 +27,7 @@ PREDICTOR_KINDS = ("none", "pf-ode-euler", "pf-ode-heun", "ancestral")
 CORRECTOR_NAMES = ("none", "ula", "two-coin", "simpson13", "trapezoid",
                    "simpson38", "hybrid", "oracle-mh")
 STEP_RULES = ("beta", "sigma", "var", "const")
-BOUND_NAMES = ("auto", "bounded-denoiser", "lipschitz", "lipschitz-sharp",
-               "manual")
+BOUND_NAMES = ("auto",) + engine.BOUND_STRATEGIES
 
 
 @dataclass
@@ -95,10 +96,10 @@ class CorrectorConfig:
     step_rule: str = "beta"
     hybrid_rounds: int = 10
     hybrid_rule: str = "simpson13"
-    poisson_cap: float = 4.0
+    poisson_cap: float = engine.HYBRID_POISSON_CAP
     bound: str = "auto"
     bound_value: Optional[float] = None
-    max_rounds: int = 1_000_000
+    max_rounds: int = engine.DEFAULT_MAX_ROUNDS
 
     def validate(self):
         if self.kind not in CORRECTOR_NAMES:
@@ -110,11 +111,24 @@ class CorrectorConfig:
         if self.bound not in BOUND_NAMES:
             raise ConfigError(f"unknown bound {self.bound!r}; "
                               f"expected one of {BOUND_NAMES}")
-        if self.hybrid_rule not in ("trapezoid", "simpson13", "simpson38"):
+        if self.hybrid_rule not in RULES:
             raise ConfigError(f"unknown hybrid fallback rule "
-                              f"{self.hybrid_rule!r}")
+                              f"{self.hybrid_rule!r}; expected one of "
+                              f"{tuple(RULES)}")
         if self.steps < 0 or self.step_scale <= 0:
             raise ConfigError("corrector steps must be >= 0 and step_scale > 0")
+        if self.max_rounds < 1:
+            raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if self.hybrid_rounds < 0:
+            raise ConfigError(
+                f"hybrid_rounds must be >= 0, got {self.hybrid_rounds}")
+        if not self.poisson_cap >= 0:
+            raise ConfigError(
+                f"poisson_cap must be >= 0, got {self.poisson_cap}")
+        if self.bound_value is not None and not (
+                np.isfinite(self.bound_value) and self.bound_value >= 0):
+            raise ConfigError(f"bound_value must be null or finite and >= 0, "
+                              f"got {self.bound_value}")
 
 
 @dataclass

@@ -7,11 +7,15 @@ log-ratio (:func:`log_h_batch`), the Newton-Cotes estimate
 (:func:`_factor_products`) and the two-coin round loop
 (:func:`_two_coin_rounds`).  The sampler runs its chains through them in
 lockstep: one array of states, one shared draw per algorithmic event, with
-masks tracking which rows are still undecided inside the two-coin loop.  The
-one-proposal entry points of :mod:`madm.adjust_exact`,
-:mod:`madm.adjust_quadrature` and :mod:`madm.proposal` run the same kernels
-on one row, and the replicate samplers on broadcast views of one fixed
-proposal, so every path draws from the generator in the same order.
+masks tracking which rows are still undecided inside the two-coin loop.
+
+Every accept/reject decision is made here, by :func:`corrector_sweep` and
+the decision kernels it calls (:func:`_two_coin_accept`,
+:func:`_quadrature_accept`, :func:`_hybrid_accept`, whose ``fallback`` rows
+record which path decided).  The replicate samplers of
+:mod:`madm.adjust_exact` run the same kernels on broadcast views of one
+fixed proposal; ``bound_C``, ``log_H`` and ``quadrature_log_ratio`` run them
+on one row.
 
 The batched two-coin decision may run each pair in whichever direction is
 cheaper (Barker satisfies alpha(x -> y) = 1 - alpha(y -> x), so negating
@@ -105,10 +109,11 @@ class SweepStats:
 
 
 def _require_finite_rows(arr: np.ndarray, what: str) -> None:
-    bad = ~np.all(np.isfinite(arr), axis=-1)
+    bad = ~np.isfinite(arr)
     if np.any(bad):
-        row = int(np.flatnonzero(bad)[0])
-        raise NonFiniteError(f"non-finite {what} at chain {row}")
+        row, col = np.argwhere(bad)[0]
+        raise NonFiniteError(f"non-finite {what} at chain {row}, "
+                             f"coordinate {col}")
 
 
 def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -286,7 +291,7 @@ def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
             f"{max_rounds} rounds (first stuck chain "
             f"{first if chains is None else int(chains[first])})",
             rounds=max_rounds, c_bound=float(C[first]),
-            log_h=float(log_h_a[first]), w_last=float("nan"),
+            log_h=float(log_h_a[first]),
         )
     return frame_accept, rounds, poisson, active
 

@@ -37,9 +37,8 @@ class NonterminationError(MadmError):
     """
 
     def __init__(self, message: str, *, rounds: int, c_bound: float,
-                 log_h: float, w_last: float):
+                 log_h: float):
         super().__init__(message)
         self.rounds = rounds
         self.c_bound = c_bound
         self.log_h = log_h
-        self.w_last = w_last

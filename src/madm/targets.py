@@ -51,10 +51,6 @@ class ScoreOracle:
         self.queries += 1 if x.ndim == 1 else x.shape[0]
         return self.score_fn(x, t)
 
-    @property
-    def has_log_density(self) -> bool:
-        return self.log_density_fn is not None
-
     def log_density(self, x, t: float):
         if self.log_density_fn is None:
             raise ConfigError(f"oracle {self.name!r} exposes no log-density")

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from madm import engine
-from madm.adjust_exact import (BoundSpec, Decision, bound_C, expected_queries,
-                               expected_rounds, poisson_product_W,
-                               poisson_w_replicates, two_coin_decision,
+from madm.adjust_exact import (BoundSpec, bound_C, expected_queries,
+                               expected_rounds, poisson_w_replicates,
                                two_coin_replicates)
 from madm.errors import (BoundViolationError, ConfigError, DomainError,
                          NonFiniteError, NonterminationError)
@@ -104,17 +103,16 @@ def test_bound_c_manual_endpoint_violation():
 
 def test_w_is_one_for_zero_bound():
     oracle, p = fixture_proposal()
-    assert poisson_product_W(p, oracle, 0.0, np.random.default_rng(0)) == 1.0
+    w = poisson_w_replicates(p, oracle, 0.0, np.random.default_rng(0), 1)
+    np.testing.assert_array_equal(w, [1.0])
 
 
 def test_w_for_null_move_is_half_power_poisson():
     oracle, p = null_move_proposal()
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        w = poisson_product_W(p, oracle, 2.0, rng)
-        # every factor is exactly 1/2, so W = 2^{-N}
-        n = round(-np.log2(w)) if w > 0 else None
-        assert w == pytest.approx(0.5 ** n)
+    w = poisson_w_replicates(p, oracle, 2.0, np.random.default_rng(1), 20)
+    # every factor is exactly 1/2, so W = 2^{-N}
+    assert np.all(w > 0)
+    np.testing.assert_allclose(w, 0.5 ** np.round(-np.log2(w)), rtol=1e-12)
 
 
 @given(st.floats(0.0, 3.0), st.integers(0, 2 ** 31 - 1))
@@ -122,8 +120,8 @@ def test_w_for_null_move_is_half_power_poisson():
 def test_w_always_in_unit_interval(c_extra, seed):
     oracle, p = fixture_proposal()
     c = 1.0 + c_extra  # keeps Assumption-1 validity: sup |f| = 1
-    w = poisson_product_W(p, oracle, c, np.random.default_rng(seed))
-    assert 0.0 <= w <= 1.0
+    w = poisson_w_replicates(p, oracle, c, np.random.default_rng(seed), 1)
+    assert 0.0 <= w[0] <= 1.0
 
 
 def test_w_mean_matches_density_ratio():
@@ -134,17 +132,6 @@ def test_w_mean_matches_density_ratio():
     est = np.exp(1.0) * w.mean()
     se = np.exp(1.0) * w.std(ddof=1) / np.sqrt(n)
     assert abs(est - R_FIXTURE) < 4.0 * se
-
-
-def test_scalar_and_batch_w_share_the_same_mean():
-    oracle, p = fixture_proposal()
-    rng = np.random.default_rng(3)
-    n = 20_000
-    scalar = np.array([poisson_product_W(p, oracle, 1.0, rng)
-                       for _ in range(n)])
-    batch = poisson_w_replicates(p, oracle, 1.0, rng, n)
-    se = np.sqrt(scalar.var() / n + batch.var() / n)
-    assert abs(scalar.mean() - batch.mean()) < 4.0 * se
 
 
 def test_w_bound_violation_detected_on_interior_bump():
@@ -170,10 +157,9 @@ def test_alpha_prime_limit_never_rejects():
 
 def test_null_move_decides_round_one_at_half():
     oracle, p = null_move_proposal()
-    rng = np.random.default_rng(5)
-    outcomes = [two_coin_decision(p, oracle, 0.0, rng) for _ in range(4000)]
-    assert all(d.rounds == 1 for d in outcomes)
-    freq = np.mean([d.accepted for d in outcomes])
+    rep = two_coin_replicates(p, oracle, 0.0, np.random.default_rng(5), 4000)
+    assert np.all(rep["rounds"] == 1)
+    freq = rep["accept"].mean()
     assert abs(freq - 0.5) < 4.0 * np.sqrt(0.25 / 4000)
 
 
@@ -184,18 +170,25 @@ def test_two_coin_acceptance_matches_barker_probability():
     assert c == pytest.approx(1.5)
     alpha = expit(log_H(p) + np.log(R_FIXTURE))
     n = 20_000
-    hits = sum(two_coin_decision(p, oracle, c, rng).accepted for _ in range(n))
+    hits = two_coin_replicates(p, oracle, c, rng, n)["accept"].sum()
     se = np.sqrt(alpha * (1 - alpha) / n)
     assert abs(hits / n - alpha) < 4.0 * se
 
 
 def test_two_coin_swap_direction_preserves_the_law():
     oracle, p = fixture_proposal()
-    rng = np.random.default_rng(7)
-    alpha = expit(log_H(p) + np.log(R_FIXTURE))
     n = 20_000
-    hits = sum(two_coin_decision(p, oracle, 1.5, rng, swap_direction=True).accepted
-               for _ in range(n))
+    X, Xt, S, St = (np.broadcast_to(a, (n, 1)) for a in p.as_rows())
+    _, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, p.h)
+    # the sweep's own rule picks the reversed direction on this fixture:
+    # log H = 0.4375 > (f(0) + f(1)) / 2 = -0.5
+    swap = engine._swap_rows(f0, f1, logH)
+    assert swap.all()
+    accept, _, _ = engine._two_coin_accept(
+        X, Xt, logH, np.full(n, 1.5), swap, p.t, oracle,
+        np.random.default_rng(7), engine.DEFAULT_MAX_ROUNDS)
+    alpha = expit(log_H(p) + np.log(R_FIXTURE))
+    hits = accept.sum()
     se = np.sqrt(alpha * (1 - alpha) / n)
     assert abs(hits / n - alpha) < 4.0 * se
 
@@ -219,11 +212,13 @@ def test_two_coin_rounds_law_on_unit_h_fixture():
 
 def test_two_coin_records_cost_fields():
     oracle, p = fixture_proposal()
-    d = two_coin_decision(p, oracle, 1.5, np.random.default_rng(9))
-    assert d.outcome in ("accept", "reject")
-    assert d.rounds >= 1
-    assert d.poisson_total >= 0
-    assert d.score_queries == d.poisson_total
+    before = oracle.queries
+    rep = two_coin_replicates(p, oracle, 1.5, np.random.default_rng(9), 1)
+    assert rep["accept"].dtype == bool
+    assert rep["rounds"][0] >= 1
+    assert rep["poisson_total"][0] >= 0
+    assert rep["score_queries"] == oracle.queries - before
+    assert rep["score_queries"] == rep["poisson_total"].sum()
 
 
 def test_two_coin_nontermination_carries_diagnostics():
@@ -231,11 +226,12 @@ def test_two_coin_nontermination_carries_diagnostics():
     p = LangevinProposal(x=np.array([0.0]), x_tilde=np.array([1.0]), h=0.5,
                          t=1.0, score_x=np.zeros(1), score_x_tilde=np.zeros(1))
     with pytest.raises(NonterminationError) as excinfo:
-        two_coin_decision(p, oracle, 30.0, np.random.default_rng(10),
-                          max_rounds=25)
+        two_coin_replicates(p, oracle, 30.0, np.random.default_rng(10), 1,
+                            max_rounds=25)
     err = excinfo.value
     assert err.rounds == 25
     assert err.c_bound == 30.0
+    assert err.log_h == 0.0
 
 
 def _nan_interior_proposal():
@@ -256,7 +252,7 @@ def test_two_coin_decision_rejects_nonfinite_interior_score():
     oracle, p = _nan_interior_proposal()
     # with C = 30 the first coin (1 + H e^C)^{-1} essentially never rejects
     with pytest.raises(NonFiniteError, match="interior score at chain 0"):
-        two_coin_decision(p, oracle, 30.0, np.random.default_rng(13))
+        two_coin_replicates(p, oracle, 30.0, np.random.default_rng(13), 1)
 
 
 def test_two_coin_replicates_reject_nonfinite_interior_score():
@@ -312,14 +308,7 @@ def test_cost_argument_domains(bad):
         expected_queries(*bad)
 
 
-# -- Decision / BoundSpec invariants ----------------------------------------------
-
-def test_decision_validates_fields():
-    with pytest.raises(DomainError):
-        Decision(outcome="maybe", rounds=1, poisson_total=0, score_queries=0)
-    with pytest.raises(DomainError):
-        Decision(outcome="accept", rounds=0, poisson_total=0, score_queries=0)
-
+# -- BoundSpec invariants ----------------------------------------------------------
 
 def test_bound_spec_validates():
     with pytest.raises(ConfigError):
@@ -337,9 +326,6 @@ def test_adjusted_kernel_detailed_balance_on_grid():
     pair of counts (n_ij, n_ji) is a two-sided binomial split, so their gap
     is bounded by a few standard deviations.
     """
-    from madm import engine
-    from madm.adjust_exact import BoundSpec
-
     rng = np.random.default_rng(11)
     oracle = gaussian_oracle(0.0, 1.0)
     n = 300_000

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from madm.adjust_quadrature import (composite, hybrid_decision,
-                                    mh_decision_quadrature,
-                                    oracle_barker_decision, oracle_mh_decision,
-                                    quadrature_log_ratio, rule_by_name,
-                                    simpson13, simpson38, trapezoid)
+from madm import engine
+from madm.adjust_quadrature import (composite, quadrature_log_ratio,
+                                    rule_by_name, simpson13, simpson38,
+                                    trapezoid)
 from madm.errors import ConfigError, DomainError, NonFiniteError
 from madm.proposal import log_H, make_proposal
 from madm.targets import ScoreOracle, gaussian_oracle, quartic_oracle
@@ -105,15 +104,24 @@ def test_query_accounting_per_rule():
 
 # -- MH decision -----------------------------------------------------------------
 
+def broadcast_rows(p, n):
+    """(x, v, f(0), f(1), log H) of the fixed proposal as n broadcast rows,
+    the inputs of the engine's decision kernels."""
+    X, Xt, S, St = p.as_rows()
+    terms = (X, *engine._endpoint_terms(X, Xt, S, St, p.h))
+    return tuple(np.broadcast_to(a, (n,) + a.shape[1:]) for a in terms)
+
+
 def test_quadrature_mh_always_accepts_on_nonnegative_log_alpha():
     # moving downhill-to-uphill in reverse: pick x_tilde with higher density
     oracle = gaussian_oracle(0.0, 1.0)
     p = make_proposal(np.array([2.0]), np.array([0.1]), oracle, t=1.0, h=0.5)
     assert np.log(np.exp(quadrature_log_ratio(p, oracle, simpson13())) *
                   np.exp(log_H(p))) >= 0
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        assert mh_decision_quadrature(p, oracle, simpson13(), rng).accepted
+    accept = engine._quadrature_accept(*broadcast_rows(p, 50), p.t,
+                                       simpson13(), oracle,
+                                       np.random.default_rng(0))
+    assert accept.all()
 
 
 def test_quadrature_mh_bernoulli_half():
@@ -126,26 +134,27 @@ def test_quadrature_mh_bernoulli_half():
     p = make_proposal(x, xt, oracle, t=0.0, h=h)
     i_hat = quadrature_log_ratio(p, oracle, simpson13())
     assert i_hat + log_H(p) == pytest.approx(np.log(0.5), rel=1e-12)
-    rng = np.random.default_rng(1)
     n = 40_000
-    hits = sum(mh_decision_quadrature(p, oracle, simpson13(), rng).accepted
-               for _ in range(n))
+    hits = engine._quadrature_accept(*broadcast_rows(p, n), p.t, simpson13(),
+                                     oracle, np.random.default_rng(1)).sum()
     assert abs(hits / n - 0.5) < 3.0 * np.sqrt(0.25 / n)
 
 
 def test_simpson_mh_matches_oracle_mh_on_gaussian():
     # affine integrand: Simpson reproduces the exact log ratio, so both
     # decisions share one acceptance probability
-    oracle, p = fixture(h=0.1)
+    oracle = gaussian_oracle(0.0, 1.0)
     rng = np.random.default_rng(2)
     n = 30_000
-    simpson_hits = sum(
-        mh_decision_quadrature(p, oracle, simpson13(), rng).accepted
-        for _ in range(n))
-    oracle_hits = sum(oracle_mh_decision(p, oracle, rng).accepted
-                      for _ in range(n))
+    X = np.zeros((n, 1))
+    S = oracle.score(X, 1.0)
+    hits = {}
+    for kind in ("quadrature", "oracle-mh"):
+        _, _, stats = engine.corrector_sweep(X, S, oracle, 1.0, 0.1, kind, rng,
+                                             rule=simpson13())
+        hits[kind] = stats.accepted
     se = np.sqrt(2 * 0.25 / n)
-    assert abs(simpson_hits / n - oracle_hits / n) < 3.0 * se
+    assert abs(hits["quadrature"] / n - hits["oracle-mh"] / n) < 3.0 * se
 
 
 def test_quadrature_mh_propagates_nonfinite_estimate():
@@ -160,85 +169,88 @@ def test_quadrature_mh_propagates_nonfinite_estimate():
     oracle = ScoreOracle(dim=1, score_fn=flaky)
     p = make_proposal(np.array([0.0]), np.array([1.0]), oracle, t=0.0, h=0.5)
     with pytest.raises(NonFiniteError):
-        mh_decision_quadrature(p, oracle, simpson13(), np.random.default_rng(3))
+        engine._quadrature_accept(*broadcast_rows(p, 1), p.t, simpson13(),
+                                  oracle, np.random.default_rng(3))
 
 
 # -- oracle decisions --------------------------------------------------------------
 
 def test_oracle_mh_accepts_uphill_moves():
+    # from x = 20 under N(0, 1) with h = 0.5 every proposal lands near 15,
+    # closer to the mode, so log r + log H = (h/8)(x^2 - x_tilde^2) > 0
     oracle = gaussian_oracle(0.0, 1.0)
-    p = make_proposal(np.array([2.0]), np.array([0.1]), oracle, t=1.0, h=0.5)
-    rng = np.random.default_rng(4)
-    assert all(oracle_mh_decision(p, oracle, rng).accepted for _ in range(20))
+    X = np.full((20, 1), 20.0)
+    Xn, _, stats = engine.corrector_sweep(X, oracle.score(X, 1.0), oracle, 1.0,
+                                          0.5, "oracle-mh",
+                                          np.random.default_rng(4))
+    assert stats.accepted == 20
+    assert np.all(np.abs(Xn) < 20.0)
 
 
 def test_oracle_mh_requires_log_density():
     oracle = ScoreOracle(dim=1, score_fn=lambda x, t: -x)
-    p = make_proposal(np.array([0.0]), np.array([1.0]), oracle, t=0.0, h=0.5)
+    X = np.zeros((4, 1))
     with pytest.raises(ConfigError):
-        oracle_mh_decision(p, oracle, np.random.default_rng(5))
-
-
-def test_oracle_barker_matches_expected_probability():
-    oracle, p = fixture()
-    alpha = expit(log_H(p) + np.log(R_FIXTURE))
-    rng = np.random.default_rng(6)
-    n = 30_000
-    hits = sum(oracle_barker_decision(p, oracle, rng).accepted
-               for _ in range(n))
-    assert abs(hits / n - alpha) < 3.5 * np.sqrt(alpha * (1 - alpha) / n)
+        engine.corrector_sweep(X, oracle.score(X, 0.0), oracle, 0.0, 0.5,
+                               "oracle-mh", np.random.default_rng(5))
 
 
 # -- hybrid ----------------------------------------------------------------------
 
+def _hybrid(p, oracle, C, K, rng, n):
+    X, V, f0, f1, logH = broadcast_rows(p, n)
+    return engine._hybrid_accept(X, V, f0, f1, logH, np.full(n, C), p.t,
+                                 simpson13(), oracle, rng, K,
+                                 engine.DEFAULT_MAX_ROUNDS,
+                                 engine.HYBRID_POISSON_CAP)
+
+
 def test_hybrid_k_zero_equals_quadrature_distribution():
     oracle, p = fixture()
-    rng_a = np.random.default_rng(7)
-    rng_b = np.random.default_rng(7)
-    a = [hybrid_decision(p, oracle, 1.5, simpson13(), 0, rng_a).accepted
-         for _ in range(5000)]
-    b = [mh_decision_quadrature(p, oracle, simpson13(), rng_b).accepted
-         for _ in range(5000)]
-    assert a == b  # identical rng consumption on the fallback path
+    n = 5000
+    a, _, _, fallback = _hybrid(p, oracle, 1.5, 0, np.random.default_rng(7), n)
+    b = engine._quadrature_accept(*broadcast_rows(p, n), p.t, simpson13(),
+                                  oracle, np.random.default_rng(7))
+    np.testing.assert_array_equal(fallback, np.arange(n))
+    np.testing.assert_array_equal(a, b)  # identical rng consumption
 
 
 def test_hybrid_never_falls_back_on_sure_accept():
     oracle = gaussian_oracle(0.0, 1.0)
     x = np.array([0.4])
     p = make_proposal(x, x.copy(), oracle, t=1.0, h=0.3)  # H = 1, C = 0
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        d = hybrid_decision(p, oracle, 0.0, simpson13(), 10, rng)
-        assert d.rounds == 1
-        assert d.method == "hybrid:two-coin"
+    _, rounds, _, fallback = _hybrid(p, oracle, 0.0, 10,
+                                     np.random.default_rng(8), 200)
+    assert np.all(rounds == 1)
+    assert fallback.size == 0
 
 
 def test_hybrid_large_k_converges_to_barker():
     oracle, p = fixture()
-    rng = np.random.default_rng(9)
     alpha = expit(log_H(p) + np.log(R_FIXTURE))
     n = 20_000
-    hits = sum(hybrid_decision(p, oracle, 1.5, simpson13(), 10_000, rng).accepted
-               for _ in range(n))
+    accept, _, _, _ = _hybrid(p, oracle, 1.5, 10_000, np.random.default_rng(9),
+                              n)
+    hits = accept.sum()
     assert abs(hits / n - alpha) < 4.0 * np.sqrt(alpha * (1 - alpha) / n)
 
 
 def test_hybrid_skips_factory_above_poisson_cap():
     oracle, p = fixture()
-    rng = np.random.default_rng(10)
-    d = hybrid_decision(p, oracle, 50.0, simpson13(), 10, rng)
-    assert d.method == "hybrid:quadrature"
-    assert d.poisson_total == 0
-    assert d.rounds == 1
+    _, rounds, poisson, fallback = _hybrid(p, oracle, 50.0, 10,
+                                           np.random.default_rng(10), 1)
+    np.testing.assert_array_equal(fallback, [0])
+    assert poisson[0] == 0
+    assert rounds[0] == 1
 
 
 def test_hybrid_tags_fallback_path():
     oracle, p = fixture()
-    rng = np.random.default_rng(11)
-    methods = {hybrid_decision(p, oracle, 1.5, simpson13(), 1, rng).method
-               for _ in range(400)}
-    assert methods <= {"hybrid:two-coin", "hybrid:quadrature"}
-    assert "hybrid:quadrature" in methods  # K = 1 falls back often
+    n = 400
+    _, _, _, fallback = _hybrid(p, oracle, 1.5, 1, np.random.default_rng(11), n)
+    assert np.all((fallback >= 0) & (fallback < n))
+    assert np.unique(fallback).size == fallback.size
+    assert 0 < fallback.size < n  # K = 1 falls back often, but not always
 
 
 @pytest.mark.parametrize("h", [0.5, 0.25, 0.125])

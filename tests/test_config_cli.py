@@ -111,6 +111,17 @@ def test_cli_sample_exit_2_on_bad_config(tmp_path, capsys):
     code = main(["sample", "--preset", "gaussian-bias", "--out",
                  str(tmp_path), "--quiet", "--set", "run.chains=oops..."])
     assert code == 2
+    # corrector settings that cannot run stop before the first sweep
+    for bad in (["--set", "corrector.max_rounds=0"],
+                ["--corrector", "hybrid", "--set", "corrector.hybrid_rounds=-1"],
+                ["--corrector", "hybrid", "--set", "corrector.poisson_cap=-1"],
+                ["--set", "corrector.bound_value=-1"]):
+        capsys.readouterr()
+        code = main(["sample", "--preset", "gaussian-bias", "--out",
+                     str(tmp_path), "--quiet", "--set", "run.chains=8",
+                     "--set", "corrector.steps=3", *bad])
+        assert code == 2, bad
+        assert "configuration error" in capsys.readouterr().err
 
 
 def test_cli_sample_exit_3_on_numerical_error(tmp_path):

@@ -46,20 +46,18 @@ def test_esjd_matches_autocovariance_identity():
 
 
 def test_esjd_identity_on_adjusted_langevin_chain():
-    from madm.adjust_quadrature import oracle_mh_decision
-    from madm.proposal import ula_propose
+    from madm.engine import corrector_sweep
     from madm.targets import gaussian_oracle
 
     oracle = gaussian_oracle(0.0, 1.0)
     rng = np.random.default_rng(6)
     h = 0.5
-    x = np.array([0.0])
+    x = np.zeros((1, 1))
+    s = oracle.score(x, 1.0)
     chain = np.empty(30_000)
     for i in range(chain.size):
-        p = ula_propose(x, oracle, 1.0, h, rng)
-        if oracle_mh_decision(p, oracle, rng).accepted:
-            x = p.x_tilde
-        chain[i] = x[0]
+        x, s, _ = corrector_sweep(x, s, oracle, 1.0, h, "oracle-mh", rng)
+        chain[i] = x[0, 0]
     measured = esjd(chain[2000:])
     kept = chain[2000:]
     cov = np.mean((kept[1:] - kept.mean()) * (kept[:-1] - kept.mean()))

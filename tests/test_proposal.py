@@ -3,66 +3,85 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from madm import engine
 from madm.errors import DomainError, NonFiniteError
-from madm.proposal import (LangevinProposal, endpoint_integrands,
-                           line_integrand, log_H, make_proposal, ula_propose)
-from madm.targets import ScoreOracle, gaussian_oracle, quartic_oracle
+from madm.proposal import LangevinProposal, log_H, make_proposal
+from madm.targets import ScoreOracle, gaussian_oracle
 
 
 def _rng():
     return np.random.default_rng(0)
 
 
+class _ZeroNoise:
+    """Generator stand-in pinning the sweep's Gaussian innovation to z = 0."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def _ula(X, oracle, t, h, rng):
+    X = np.asarray(X, dtype=float)
+    return engine.corrector_sweep(X, oracle.score(X, t), oracle, t, h, "ula",
+                                  rng)
+
+
 def test_ula_zero_score_zero_noise_is_identity():
     oracle = ScoreOracle(dim=1, score_fn=lambda x, t: np.zeros_like(x))
-    p = ula_propose(np.array([1.5]), oracle, 0.0, 0.3, _rng(), z=np.array([0.0]))
-    np.testing.assert_array_equal(p.x_tilde, p.x)
+    Xn, _, _ = _ula([[1.5]], oracle, 0.0, 0.3, _ZeroNoise())
+    np.testing.assert_array_equal(Xn, [[1.5]])
 
 
 def test_ula_gaussian_drift_value():
     oracle = gaussian_oracle(0.0, 1.0)
-    p = ula_propose(np.array([1.0]), oracle, 0.0, 0.5, _rng(), z=np.array([0.0]))
-    assert p.x_tilde[0] == pytest.approx(0.75)
+    Xn, _, _ = _ula([[1.0]], oracle, 0.0, 0.5, _ZeroNoise())
+    assert Xn[0, 0] == pytest.approx(0.75)
 
 
 def test_ula_mean_displacement_matches_drift():
     oracle = gaussian_oracle(0.0, 1.0)
-    rng = _rng()
-    x = np.array([0.7])
+    x = 0.7
     h = 0.3
     n = 1_000_000
-    # vectorised replay of the proposal map
-    z = rng.standard_normal(n)
-    moves = 0.5 * h * (-x[0]) + np.sqrt(h) * z
+    Xn, _, _ = _ula(np.full((n, 1), x), oracle, 0.0, h,
+                    np.random.default_rng(0))
+    moves = Xn[:, 0] - x
     ci = 4.0 * np.sqrt(h / n)
-    assert abs(moves.mean() - 0.5 * h * (-x[0])) < ci
-    # and the scalar op agrees with the same map
-    p = ula_propose(x, oracle, 0.0, h, rng, z=np.array([z[0]]))
-    assert p.x_tilde[0] == pytest.approx(x[0] + moves[0])
+    assert abs(moves.mean() - 0.5 * h * (-x)) < ci
+    # and each move is the proposal map of the sweep's first normal draw
+    z = np.random.default_rng(0).standard_normal((n, 1))[:, 0]
+    np.testing.assert_allclose(moves, 0.5 * h * (-x) + np.sqrt(h) * z,
+                               rtol=0, atol=1e-12)
 
 
 def test_ula_counts_two_queries_and_caches_scores():
+    # one query for s(x), cached by the caller, and one for s(x_tilde)
     oracle = gaussian_oracle(0.0, 1.0)
-    p = ula_propose(np.array([1.0]), oracle, 0.0, 0.5, _rng())
+    Xn, Sn, stats = _ula([[1.0]], oracle, 0.0, 0.5, _rng())
     assert oracle.queries == 2
-    np.testing.assert_allclose(p.score_x, -p.x)
-    np.testing.assert_allclose(p.score_x_tilde, -p.x_tilde)
+    assert stats.score_queries == 1
+    np.testing.assert_allclose(Sn, -Xn)
 
 
 def test_ula_rejects_nonpositive_step():
+    zero = np.zeros(1)
     with pytest.raises(DomainError):
-        ula_propose(np.array([0.0]), gaussian_oracle(0.0, 1.0), 0.0, 0.0, _rng())
+        LangevinProposal(x=zero, x_tilde=zero.copy(), h=0.0, t=0.0,
+                         score_x=zero.copy(), score_x_tilde=zero.copy())
 
 
 def test_ula_propagates_nonfinite_score_with_coordinate():
     def bad(x, t):
-        s = np.zeros_like(x)
-        s[..., 1] = np.nan
+        s = -x.copy()
+        s[x[:, 0] > 10.0, 1] = np.nan
         return s
 
     oracle = ScoreOracle(dim=3, score_fn=bad)
-    with pytest.raises(NonFiniteError, match="coordinate 1"):
-        ula_propose(np.zeros(3), oracle, 0.0, 0.1, _rng())
+    X = np.zeros((4, 3))
+    X[2, 0] = 20.0  # its proposal stays far above 10 at h = 0.1
+    with pytest.raises(NonFiniteError, match="score at chain 2, coordinate 1"):
+        engine.corrector_sweep(X, np.zeros((4, 3)), oracle, 0.0, 0.1, "ula",
+                               _rng())
 
 
 # -- log_H --------------------------------------------------------------------
@@ -94,53 +113,6 @@ def test_log_h_matches_normal_density_oracle():
 def test_log_h_swap_antisymmetry(x, xt, h, sx, sxt):
     p = LangevinProposal(x=np.array([x]), x_tilde=np.array([xt]), h=h, t=0.0,
                          score_x=np.array([sx]), score_x_tilde=np.array([sxt]))
-    assert log_H(p) == pytest.approx(-log_H(p.reversed()), abs=1e-12)
-
-
-# -- line integrand -----------------------------------------------------------
-
-def test_line_integrand_zero_for_null_move():
-    oracle = gaussian_oracle(0.0, 1.0)
-    p = make_proposal(np.array([0.4]), np.array([0.4]), oracle, t=0.0, h=0.1)
-    for u in (0.0, 0.33, 1.0):
-        assert line_integrand(p, oracle, u) == 0.0
-
-
-def test_line_integrand_gaussian_is_linear_in_u():
-    oracle = gaussian_oracle(0.0, 1.0)
-    p = make_proposal(np.array([0.0]), np.array([1.0]), oracle, t=0.0, h=0.1)
-    for u in (0.0, 0.25, 0.5, 1.0):
-        assert line_integrand(p, oracle, u) == pytest.approx(-u, rel=1e-12)
-
-
-def test_line_integrand_quartic_is_cubic():
-    oracle = quartic_oracle(1.0)
-    p = make_proposal(np.array([0.0]), np.array([1.0]), oracle, t=0.0, h=0.1)
-    for u in (0.2, 0.5, 0.9):
-        assert line_integrand(p, oracle, u) == pytest.approx(-u ** 3, rel=1e-12)
-
-
-def test_line_integrand_endpoint_caching_skips_queries():
-    oracle = gaussian_oracle(0.0, 1.0)
-    p = make_proposal(np.array([0.0]), np.array([1.0]), oracle, t=0.0, h=0.1)
-    before = oracle.queries
-    line_integrand(p, oracle, 0.0)
-    line_integrand(p, oracle, 1.0)
-    assert oracle.queries == before
-    line_integrand(p, oracle, 0.5)
-    assert oracle.queries == before + 1
-
-
-def test_line_integrand_domain():
-    oracle = gaussian_oracle(0.0, 1.0)
-    p = make_proposal(np.array([0.0]), np.array([1.0]), oracle, t=0.0, h=0.1)
-    with pytest.raises(DomainError):
-        line_integrand(p, oracle, 1.5)
-
-
-def test_endpoint_integrands_match_line_integrand():
-    oracle = quartic_oracle(2.0)
-    p = make_proposal(np.array([-0.3]), np.array([0.9]), oracle, t=0.0, h=0.2)
-    f0, f1 = endpoint_integrands(p)
-    assert f0 == pytest.approx(line_integrand(p, oracle, 0.0))
-    assert f1 == pytest.approx(line_integrand(p, oracle, 1.0))
+    swapped = LangevinProposal(x=p.x_tilde, x_tilde=p.x, h=h, t=0.0,
+                               score_x=p.score_x_tilde, score_x_tilde=p.score_x)
+    assert log_H(p) == pytest.approx(-log_H(swapped), abs=1e-12)
