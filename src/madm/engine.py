@@ -394,6 +394,8 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
     """
     if kind not in CORRECTOR_KINDS or kind == "none":
         raise ConfigError(f"unsupported corrector kind {kind!r}")
+    if not (np.isfinite(h) and h > 0.0):
+        raise DomainError(f"corrector step h must be finite and > 0, got {h}")
     n, d = X.shape
     stats = SweepStats(proposals=n)
     queries_before = oracle.queries

@@ -13,17 +13,23 @@ score-approximation error.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, DegenerateMixtureError, DomainError
 from .schedule import NoiseSchedule
 
 # Row budget for chunking pairwise mixture computations.
 _PAIR_CHUNK = 8_000_000
+
+# Floor for the max-shifted mixture logits.  exp() is ~100x slower where its
+# result is subnormal and several times slower where it underflows to 0; at
+# the floor a component still weighs e^-600 ~ 3e-261 of the largest one, far
+# below the rounding of any sum over it.
+_LOGIT_FLOOR = -600.0
 
 
 @dataclass
@@ -32,10 +38,12 @@ class ScoreOracle:
 
     ``score_fn(x, t)`` accepts a single state of shape (d,) or a batch of
     shape (n, d) and returns an array of matching shape.  ``queries`` counts
-    one per state evaluated (a batched call on n rows adds n).  Oracles are
-    read-only after construction; parallel chains should either share one
-    oracle (single-threaded lockstep) or work on :meth:`fork` copies whose
-    counters are merged afterwards.
+    one per state evaluated (a batched call on n rows adds n).  Apart from
+    the query counter and the per-level constants a target function may
+    cache (:func:`diffused_empirical_oracle` does, thread-safely), oracles
+    are read-only after construction; parallel chains should either share
+    one oracle (single-threaded lockstep) or work on :meth:`fork` copies
+    whose counters are merged afterwards.
     """
 
     dim: int
@@ -263,15 +271,6 @@ def dataset_from_csv(path, name: str = "loaded") -> Dataset2D:
 # Diffused empirical mixture
 # ---------------------------------------------------------------------------
 
-def _mixture_terms(x, means, var):
-    """Per-component -||x - m_i||^2 / (2 var) for x of shape (n, d)."""
-    # ||x - m||^2 = ||x||^2 + ||m||^2 - 2 x.m ; the cross term via BLAS
-    x_sq = np.sum(x * x, axis=1)[:, None]
-    m_sq = np.sum(means * means, axis=1)[None, :]
-    cross = x @ means.T
-    return -(x_sq + m_sq - 2.0 * cross) / (2.0 * var)
-
-
 def diffused_empirical_oracle(data: Dataset2D, schedule: NoiseSchedule,
                               t: float) -> ScoreOracle:
     """Exact score/log-density of the diffused empirical measure of ``data``.
@@ -280,6 +279,19 @@ def diffused_empirical_oracle(data: Dataset2D, schedule: NoiseSchedule,
     at whatever level ``u`` is passed, so a single oracle serves a whole
     predictor-corrector run.  The construction-time ``t`` is validated up
     front; any level with sigma_u = 0 raises ``DegenerateMixtureError``.
+
+    With means m_i = r_u x_i and var = (r_u sigma_u)^2, both capabilities
+    share one pass over the logits
+
+        L_i(x) = <x, m_i> / var - ||m_i||^2 / (2 var),
+
+    which leave out the per-row term -||x||^2 / (2 var).  It cancels in the
+    softmax weights, so the score (sum_i w_i m_i - x) / var never needs it;
+    ``log_density`` adds it back.  The per-level constants (var, m / var,
+    ||m||^2 / (2 var) and [m | 1]) are computed once per level and kept, for
+    the last four levels, in a cache inside the oracle's closure.  It holds
+    read-only arrays and is safe to share between threads, so :meth:`fork`
+    copies share it.
     """
     _, sigma_t = schedule.marginal_params(t)
     if sigma_t <= 0.0:
@@ -287,49 +299,60 @@ def diffused_empirical_oracle(data: Dataset2D, schedule: NoiseSchedule,
             f"mixture target degenerate at t={t} (sigma_t = 0)"
         )
     points = data.points
-    n_comp = points.shape[0]
+    n_comp, dim = points.shape
     log_n = np.log(n_comp)
 
-    def _params(u):
+    @functools.lru_cache(maxsize=4)
+    def _level(u):
         r, sigma = schedule.marginal_params(u)
         if sigma <= 0.0:
             raise DegenerateMixtureError(
                 f"mixture target degenerate at t={u} (sigma_t = 0)"
             )
-        return r, (r * sigma) ** 2
+        var = (r * sigma) ** 2
+        means = r * points
+        scaled_t = (means / var).T
+        bias = np.sum(means * means, axis=1) / (2.0 * var)
+        means_one = np.hstack([means, np.ones((n_comp, 1))])
+        for arr in (scaled_t, bias, means_one):
+            arr.flags.writeable = False
+        return var, scaled_t, bias, means_one
+
+    def _fused(x, u):
+        """Per row of x: the logits' max and [sum_i w_i m_i | sum_i w_i] for
+        the unnormalised weights w_i = exp(L_i - max)."""
+        var, scaled_t, bias, means_one = _level(float(u))
+        top = np.empty(x.shape[0])
+        sums = np.empty((x.shape[0], dim + 1))
+        step = max(1, _PAIR_CHUNK // n_comp)
+        for lo in range(0, x.shape[0], step):
+            logits = x[lo:lo + step] @ scaled_t
+            logits -= bias
+            peak = logits.max(axis=1, keepdims=True)
+            logits -= peak
+            np.maximum(logits, _LOGIT_FLOOR, out=logits)
+            np.exp(logits, out=logits)
+            top[lo:lo + step] = peak[:, 0]
+            sums[lo:lo + step] = logits @ means_one
+        return var, top, sums
 
     def score(x, u):
-        r, var = _params(u)
-        means = r * points
         single = x.ndim == 1
         xb = x[None, :] if single else x
-        out = np.empty_like(xb)
-        step = max(1, _PAIR_CHUNK // n_comp)
-        for lo in range(0, xb.shape[0], step):
-            chunk = xb[lo:lo + step]
-            terms = _mixture_terms(chunk, means, var)
-            terms -= terms.max(axis=1, keepdims=True)
-            w = np.exp(terms)
-            w /= w.sum(axis=1, keepdims=True)
-            out[lo:lo + step] = (w @ means - chunk) / var
+        var, _, sums = _fused(xb, u)
+        out = (sums[:, :dim] / sums[:, dim:] - xb) / var
         return out[0] if single else out
 
     def log_density(x, u):
-        r, var = _params(u)
-        means = r * points
         single = x.ndim == 1
         xb = x[None, :] if single else x
-        out = np.empty(xb.shape[0])
-        step = max(1, _PAIR_CHUNK // n_comp)
-        for lo in range(0, xb.shape[0], step):
-            chunk = xb[lo:lo + step]
-            terms = _mixture_terms(chunk, means, var)
-            out[lo:lo + step] = logsumexp(terms, axis=1)
-        out += -log_n - 0.5 * xb.shape[1] * np.log(2.0 * np.pi * var)
+        var, top, sums = _fused(xb, u)
+        out = top + np.log(sums[:, dim]) - np.sum(xb * xb, axis=1) / (2.0 * var)
+        out += -log_n - 0.5 * dim * np.log(2.0 * np.pi * var)
         return out[0] if single else out
 
     return ScoreOracle(
-        dim=points.shape[1],
+        dim=dim,
         score_fn=score,
         log_density_fn=log_density,
         denoiser_bound=float(np.max(np.linalg.norm(points, axis=1))),

@@ -5,8 +5,8 @@ from scipy.special import expit
 from madm import engine
 from madm.adjust_exact import BoundSpec
 from madm.adjust_quadrature import simpson13
-from madm.errors import (BoundViolationError, ConfigError, NonFiniteError,
-                         NonterminationError)
+from madm.errors import (BoundViolationError, ConfigError, DomainError,
+                         NonFiniteError, NonterminationError)
 from madm.schedule import NoiseSchedule
 from madm.targets import (Dataset2D, ScoreOracle, diffused_empirical_oracle,
                           gaussian_oracle)
@@ -122,6 +122,25 @@ def test_engine_rejects_unknown_kind():
     with pytest.raises(ConfigError):
         engine.corrector_sweep(np.zeros((2, 1)), np.zeros((2, 1)), oracle,
                                1.0, 0.1, "metropolis", np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", [k for k in engine.CORRECTOR_KINDS
+                                  if k != "none"])
+@pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+def test_sweep_rejects_a_step_that_is_not_positive_and_finite(kind, h):
+    # h = 0 used to leave ula chains in place, all "accepted", and gave
+    # oracle-mh log H = 0/0
+    oracle = gaussian_oracle(0.0, 1.0)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((4, 1))
+    S = oracle.score(X, 1.0)
+    queries, state = oracle.queries, rng.bit_generator.state
+    with pytest.raises(DomainError, match="step h"):
+        engine.corrector_sweep(X, S, oracle, 1.0, h, kind, rng,
+                               schedule=NoiseSchedule.edm(),
+                               bound=BoundSpec("lipschitz"), rule=simpson13())
+    assert oracle.queries == queries
+    assert rng.bit_generator.state == state
 
 
 def test_engine_two_coin_nontermination_names_a_chain():

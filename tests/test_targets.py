@@ -1,6 +1,13 @@
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp, softmax
 
+from madm import targets
 from madm.errors import ConfigError, DegenerateMixtureError, DomainError
 from madm.schedule import NoiseSchedule
 from madm.targets import (CHECKERBOARD_CELL, Dataset2D, dataset_from_csv,
@@ -209,3 +216,131 @@ def test_mixture_is_time_aware(three_point_oracle):
     assert not np.allclose(s_low, s_high)
     with pytest.raises(DegenerateMixtureError):
         three_point_oracle.score(x, 0.0)
+
+
+# -- the fused mixture kernel against direct differences -----------------------
+
+FIG1_LADDER = NoiseSchedule.vp_discrete(T=18, beta_min=0.02, beta_max=0.35)
+FIG1_LEVELS = (17 / 18, 9 / 18, 2 / 18)
+
+
+@pytest.fixture(scope="module")
+def checkerboard():
+    return generate_dataset("checkerboard", 1200, 7)
+
+
+def _mixture_reference(points, schedule, x, u):
+    """Score and log-density of the diffused mixture from r x_i - x."""
+    r, sigma = schedule.marginal_params(u)
+    var = (r * sigma) ** 2
+    diff = r * points[None, :, :] - x[:, None, :]
+    terms = -np.sum(diff * diff, axis=2) / (2.0 * var)
+    score = np.einsum("mn,mnd->md", softmax(terms, axis=1), diff) / var
+    log_p = (logsumexp(terms, axis=1) - np.log(points.shape[0])
+             - 0.5 * points.shape[1] * np.log(2.0 * np.pi * var))
+    return score, log_p
+
+
+def _rows(points, rng, m=96):
+    """Rows near the data, across its box, and just outside it."""
+    near = points[rng.integers(0, len(points), m // 2)]
+    near = near + 0.1 * rng.standard_normal(near.shape)
+    box = rng.uniform(-6.0, 6.0, size=(m - m // 2, 2))
+    return np.vstack([near, box])
+
+
+def _assert_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("u", FIG1_LEVELS)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_fused_mixture_matches_direct_differences(checkerboard, u, seed):
+    # the kernel drops -||x||^2 / (2 var) from its logits; log_density adds
+    # it back
+    oracle = diffused_empirical_oracle(checkerboard, FIG1_LADDER, u)
+    x = _rows(checkerboard.points, np.random.default_rng(seed))
+    want, want_log_p = _mixture_reference(checkerboard.points, FIG1_LADDER, x, u)
+    _assert_close(oracle.score(x, u), want)
+    _assert_close(oracle.log_density(x, u), want_log_p)
+
+
+@pytest.mark.parametrize("u", FIG1_LEVELS)
+def test_fused_mixture_single_row_matches_direct_differences(checkerboard, u):
+    oracle = diffused_empirical_oracle(checkerboard, FIG1_LADDER, u)
+    x = np.array([0.7, -1.3])
+    want, want_log_p = _mixture_reference(checkerboard.points, FIG1_LADDER,
+                                          x[None, :], u)
+    _assert_close(oracle.score(x, u), want[0])
+    assert oracle.log_density(x, u) == pytest.approx(want_log_p[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("u", FIG1_LEVELS)
+def test_fused_mixture_far_field_matches_direct_differences(checkerboard, u):
+    # rows 1e3 away: ||x||^2 / (2 var) reaches ~1e7 and the weights are one-hot
+    oracle = diffused_empirical_oracle(checkerboard, FIG1_LADDER, u)
+    rng = np.random.default_rng(11)
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=16)
+    x = 1e3 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    want, want_log_p = _mixture_reference(checkerboard.points, FIG1_LADDER, x, u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        score = oracle.score(x, u)
+        log_p = oracle.log_density(x, u)
+    assert np.all(np.isfinite(score)) and np.all(np.isfinite(log_p))
+    _assert_close(score, want)
+    _assert_close(log_p, want_log_p)
+
+
+def test_fused_mixture_chunks_stitch_bit_for_bit(checkerboard, monkeypatch):
+    # A chunked call must equal separate calls on its chunks bit for bit.
+    # Against the one-chunk call it agrees only to rounding: OpenBLAS rounds
+    # a row differently by its place in the 4-row blocks of its kernel.
+    oracle = diffused_empirical_oracle(checkerboard, FIG1_LADDER, 0.5)
+    x = _rows(checkerboard.points, np.random.default_rng(13), m=23)
+    pieces = [x[lo:lo + 5] for lo in range(0, 23, 5)]  # 5 + 5 + 5 + 5 + 3
+    whole = {u: (oracle.score(x, u), oracle.log_density(x, u))
+             for u in FIG1_LEVELS}
+    split = {u: (np.vstack([oracle.score(p, u) for p in pieces]),
+                 np.concatenate([oracle.log_density(p, u) for p in pieces]))
+             for u in FIG1_LEVELS}
+    monkeypatch.setattr(targets, "_PAIR_CHUNK", 5 * len(checkerboard))
+    for u in FIG1_LEVELS:
+        score, log_p = oracle.score(x, u), oracle.log_density(x, u)
+        np.testing.assert_array_equal(score, split[u][0])
+        np.testing.assert_array_equal(log_p, split[u][1])
+        _assert_close(score, whole[u][0], rel=1e-14)
+        _assert_close(log_p, whole[u][1], rel=1e-14)
+
+
+def test_mixture_level_cache_does_not_change_results(checkerboard):
+    x = _rows(checkerboard.points, np.random.default_rng(14))
+    u1, u2 = FIG1_LEVELS[0], FIG1_LEVELS[2]
+    reused = diffused_empirical_oracle(checkerboard, FIG1_LADDER, u1)
+    got = [(reused.score(x, u), reused.log_density(x, u)) for u in (u1, u2, u1)]
+    for u, (score, log_p) in zip((u1, u2, u1), got):
+        fresh = diffused_empirical_oracle(checkerboard, FIG1_LADDER, u)
+        np.testing.assert_array_equal(score, fresh.score(x, u))
+        np.testing.assert_array_equal(log_p, fresh.log_density(x, u))
+    # more levels than the cache holds, then back to the first
+    for k in range(1, 18):
+        reused.score(x, k / 18)
+    np.testing.assert_array_equal(reused.score(x, u1), got[0][0])
+
+
+def test_mixture_level_cache_is_shared_safely_between_threads(checkerboard):
+    # forks share the closure, so threads hit one cache at changing levels
+    oracle = diffused_empirical_oracle(checkerboard, FIG1_LADDER, 0.5)
+    x = _rows(checkerboard.points, np.random.default_rng(15), m=32)
+    levels = [k / 18 for k in range(1, 18)] * 3
+    want = [diffused_empirical_oracle(checkerboard, FIG1_LADDER, u).score(x, u)
+            for u in levels]
+    forks = [oracle.fork() for _ in range(4)]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        runs = list(pool.map(
+            lambda fork: [fork.score(x, u) for u in levels], forks))
+    for got in runs:
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
