@@ -115,8 +115,11 @@ class CorrectorConfig:
             raise ConfigError(f"unknown hybrid fallback rule "
                               f"{self.hybrid_rule!r}; expected one of "
                               f"{tuple(RULES)}")
-        if self.steps < 0 or self.step_scale <= 0:
-            raise ConfigError("corrector steps must be >= 0 and step_scale > 0")
+        if self.steps < 0:
+            raise ConfigError(f"corrector steps must be >= 0, got {self.steps}")
+        if not (np.isfinite(self.step_scale) and self.step_scale > 0):
+            raise ConfigError(f"step_scale must be finite and > 0, "
+                              f"got {self.step_scale}")
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.hybrid_rounds < 0:

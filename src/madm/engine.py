@@ -5,21 +5,26 @@ batch of rows: the envelope C (:func:`bound_c_batch`), the proposal
 log-ratio (:func:`log_h_batch`), the Newton-Cotes estimate
 (:func:`_quadrature_log_ratio_batch`), the Poisson product W
 (:func:`_factor_products`) and the two-coin round loop
-(:func:`_two_coin_rounds`).  The sampler runs its chains through them in
-lockstep: one array of states, one shared draw per algorithmic event, with
-masks tracking which rows are still undecided inside the two-coin loop.
+(:func:`_two_coin_rounds`).  The sampler runs its chains through them as one
+array of states, one shared draw per algorithmic event, with masks tracking
+which rows are still undecided.
 
 Every accept/reject decision is made here, by :func:`corrector_sweep` and
-the decision kernels it calls (:func:`_two_coin_accept`,
+the decision kernels it calls (:func:`_two_coin_steps`,
 :func:`_quadrature_accept`, :func:`_hybrid_accept`, whose ``fallback`` rows
-record which path decided).  The replicate samplers of
+record which path decided).  The quadrature, hybrid, oracle-mh and ula
+sweeps move all chains one step in lockstep.  The two-coin corrector's round
+count is geometric with a heavy tail, so its chains run out of lockstep
+instead: each pass proposes for every chain whose last decision is made and
+then runs one round for every chain still deciding, and a chain starts its
+next step as soon as its own decision is made.  The replicate samplers of
 :mod:`madm.adjust_exact` run the same kernels on broadcast views of one
 fixed proposal; ``bound_C``, ``log_H`` and ``quadrature_log_ratio`` run them
 on one row.
 
-The batched two-coin decision may run each pair in whichever direction is
-cheaper (Barker satisfies alpha(x -> y) = 1 - alpha(y -> x), so negating
-the reversed decision leaves the law unchanged while taming the e^{log H}
+The two-coin decision may run each pair in whichever direction is cheaper
+(Barker satisfies alpha(x -> y) = 1 - alpha(y -> x), so negating the
+reversed decision leaves the law unchanged while taming the e^{log H}
 factor in the round count).
 """
 
@@ -32,7 +37,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import (BoundViolationError, ConfigError, DomainError,
-                     NonFiniteError, NonterminationError)
+                     MadmError, NonFiniteError, NonterminationError)
 from .schedule import NoiseSchedule
 from .targets import ScoreOracle
 
@@ -90,7 +95,12 @@ class BoundSpec:
 
 @dataclass
 class SweepStats:
-    """Aggregated accept/reject accounting for one corrector sweep."""
+    """Aggregated accept/reject accounting for one corrector sweep.
+
+    ``round_passes`` counts the iterations of the two-coin round loop (each
+    pays its Python overhead once for all the rows it serves) and
+    ``max_rounds`` is the longest single decision, in rounds.
+    """
 
     proposals: int = 0
     accepted: int = 0
@@ -98,6 +108,8 @@ class SweepStats:
     poisson_total: int = 0
     score_queries: int = 0
     jump_sq_total: float = 0.0
+    round_passes: int = 0
+    max_rounds: int = 0
 
     def merge(self, other: "SweepStats") -> None:
         self.proposals += other.proposals
@@ -106,14 +118,28 @@ class SweepStats:
         self.poisson_total += other.poisson_total
         self.score_queries += other.score_queries
         self.jump_sq_total += other.jump_sq_total
+        self.round_passes += other.round_passes
+        self.max_rounds = max(self.max_rounds, other.max_rounds)
 
 
-def _require_finite_rows(arr: np.ndarray, what: str) -> None:
+def _chain_of(row, chains=None) -> int:
+    """The chain number an error reports for ``row``; ``chains`` maps rows to
+    chain numbers when the rows are a subset of the chains."""
+    return int(row) if chains is None else int(chains[row])
+
+
+def _at_chain(err, chain: int):
+    err.chain = chain
+    return err
+
+
+def _require_finite_rows(arr: np.ndarray, what: str, chains=None) -> None:
     bad = ~np.isfinite(arr)
-    if np.any(bad):
+    if bad.any():
         row, col = np.argwhere(bad)[0]
-        raise NonFiniteError(f"non-finite {what} at chain {row}, "
-                             f"coordinate {col}")
+        chain = _chain_of(row, chains)
+        raise _at_chain(NonFiniteError(f"non-finite {what} at chain {chain}, "
+                                       f"coordinate {col}"), chain)
 
 
 def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -130,7 +156,7 @@ def _segment_products(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Product of consecutive ``factors`` segments of the given lengths."""
     out = np.ones(counts.shape[0])
     mask = counts > 0
-    if not np.any(mask):
+    if not mask.any():
         return out
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -139,7 +165,7 @@ def _segment_products(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def bound_c_batch(X, Xt, S, St, t, spec: BoundSpec, schedule: NoiseSchedule,
-                  oracle: ScoreOracle) -> np.ndarray:
+                  oracle: ScoreOracle, chains=None) -> np.ndarray:
     """Row-wise envelope C(x, x_tilde) dominating the line integrand.
 
     Bounded-denoiser route (Tweedie: the posterior mean of the clean data
@@ -162,7 +188,8 @@ def bound_c_batch(X, Xt, S, St, t, spec: BoundSpec, schedule: NoiseSchedule,
     collapses the e^C tail of the loop's round count.
 
     Each row's C is checked against its endpoint integrands: C must dominate
-    |f(0)| and |f(1)| or the bound is rejected outright.
+    |f(0)| and |f(1)| or the bound is rejected outright.  ``chains`` maps
+    rows to the chain numbers that errors report.
     """
     V = Xt - X
     norm_v = np.linalg.norm(V, axis=1)
@@ -197,12 +224,12 @@ def bound_c_batch(X, Xt, S, St, t, spec: BoundSpec, schedule: NoiseSchedule,
 
     needed = np.maximum(np.abs(f0), np.abs(f1))
     bad = c < needed * (1.0 - 1e-12) - 1e-15
-    if np.any(bad):
+    if bad.any():
         row = int(np.flatnonzero(bad)[0])
-        raise BoundViolationError(
+        chain = _chain_of(row, chains)
+        raise _at_chain(BoundViolationError(
             f"C={c[row]:.6g} fails to dominate the endpoint integrands "
-            f"at chain {row} (needed {needed[row]:.6g})"
-        )
+            f"at chain {chain} (needed {needed[row]:.6g})"), chain)
     return c
 
 
@@ -243,13 +270,13 @@ def _envelope_error(block, integrands, rows, C, chains):
     inside = (block >= -FACTOR_TOLERANCE) & (block <= 1.0 + FACTOR_TOLERANCE)
     i = int(np.flatnonzero(~inside)[0])
     row = int(rows[i])
-    chain = row if chains is None else int(chains[row])
+    chain = _chain_of(row, chains)
     if not np.isfinite(integrands[i]):
-        raise NonFiniteError(f"non-finite interior score at chain {chain}")
-    raise BoundViolationError(
+        raise _at_chain(
+            NonFiniteError(f"non-finite interior score at chain {chain}"), chain)
+    raise _at_chain(BoundViolationError(
         f"line integrand {integrands[i]:.6g} escapes the envelope "
-        f"C={C[row]:.6g} at chain {chain}"
-    )
+        f"C={C[row]:.6g} at chain {chain}"), chain)
 
 
 def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
@@ -285,15 +312,19 @@ def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
         if active.size == 0:
             break
     if active.size and round_limit is None:
-        first = int(active[0])
-        raise NonterminationError(
-            f"two-coin loop undecided for {active.size} chains after "
-            f"{max_rounds} rounds (first stuck chain "
-            f"{first if chains is None else int(chains[first])})",
-            rounds=max_rounds, c_bound=float(C[first]),
-            log_h=float(log_h_a[first]),
-        )
+        raise _stuck_error(active, max_rounds, C, log_h_a, chains)
     return frame_accept, rounds, poisson, active
+
+
+def _stuck_error(stuck, max_rounds, C, log_h_a, chains=None):
+    """NonterminationError for the ``stuck`` rows, naming the first."""
+    first = int(stuck[0])
+    chain = _chain_of(first, chains)
+    return _at_chain(NonterminationError(
+        f"two-coin loop undecided for {stuck.size} chains after "
+        f"{max_rounds} rounds (first stuck chain {chain})",
+        rounds=max_rounds, c_bound=float(C[first]),
+        log_h=float(log_h_a[first])), chain)
 
 
 def _endpoint_terms(X, Xt, S, St, h):
@@ -308,15 +339,100 @@ def _swap_rows(f0, f1, logH):
     return logH > 0.5 * (f0 + f1)
 
 
-def _two_coin_accept(X, Xt, logH, C, swap, t, oracle, rng, max_rounds):
-    """Exact Barker decisions, running the ``swap`` rows from x_tilde."""
-    V = Xt - X
-    Xa = np.where(swap[:, None], Xt, X)
-    Va = np.where(swap[:, None], -V, V)
-    log_h_a = np.where(swap, -logH, logH)
-    frame_accept, rounds, poisson, _ = _two_coin_rounds(
-        Xa, Va, log_h_a, C, t, oracle, rng, max_rounds)
-    return frame_accept ^ swap, rounds, poisson
+def _decision_frame(X, Xt, V, logH, swap):
+    """(start, direction, log H) of each row's two-coin decision.  The
+    ``swap`` rows run from x_tilde back to x; their callers negate the
+    decision the round loop returns for them."""
+    return (np.where(swap[:, None], Xt, X), np.where(swap[:, None], -V, V),
+            np.where(swap, -logH, logH))
+
+
+def _two_coin_steps(X, S, oracle, t, h, rng, steps, bound, schedule,
+                    max_rounds, on_step):
+    """``steps`` exact Barker steps per chain, out of lockstep.
+
+    Each pass first proposes for every chain that has no pending proposal
+    and has steps left, then runs one two-coin round for every chain with a
+    pending proposal.  A chain starts its next step on the pass after its
+    own decision, whatever the other chains are doing, so the passes number
+    about ``steps`` times the mean rounds plus the slowest chain's tail,
+    where lockstep sweeps pay the slowest chain's rounds at every step.
+    Rounds draw from ``rng`` exactly as in lockstep, in chain order within a
+    pass, so one step reproduces the lockstep sweep draw for draw.
+
+    ``on_step(chains, step, X_rows)`` receives the chains that finish a step
+    in a pass, the index of the step each finished, and their new states.
+    Each decision is capped at ``max_rounds`` rounds.  An error names the
+    chain and that chain's own sweep.  Returns (X', S', stats).
+    """
+    n, d = X.shape
+    X, S = X.copy(), S.copy()
+    Xt, St, Xa, Va = (np.empty_like(X) for _ in range(4))
+    log_h_a, C = np.empty(n), np.empty(n)
+    swap = np.zeros(n, dtype=bool)
+    pending = np.zeros(n, dtype=bool)
+    done = np.zeros(n, dtype=np.int64)     # steps each chain has finished
+    rounds = np.zeros(n, dtype=np.int64)   # rounds of each pending decision
+    stats = SweepStats(proposals=n * steps)
+    free, proposed = np.arange(n), 0
+    try:
+        while True:
+            if free.size:
+                x, s = X[free], S[free]
+                xt = (x + 0.5 * h * s
+                      + np.sqrt(h) * rng.standard_normal((free.size, d)))
+                st = oracle.score(xt, t)
+                _require_finite_rows(st, "score", free)
+                v, f0, f1, logH = _endpoint_terms(x, xt, s, st, h)
+                C[free] = bound_c_batch(x, xt, s, st, t, bound, schedule,
+                                        oracle, free)
+                sw = _swap_rows(f0, f1, logH)
+                Xa[free], Va[free], log_h_a[free] = _decision_frame(
+                    x, xt, v, logH, sw)
+                Xt[free], St[free], swap[free] = xt, st, sw
+                rounds[free] = 0
+                pending[free] = True
+                proposed += free.size
+            active = np.flatnonzero(pending)
+            if active.size == 0:
+                break
+            # a lone pending decision, or decisions after which no chain
+            # proposes again, run their remaining rounds in one call: the
+            # passes would draw the same numbers in the same order
+            limit = (max_rounds - int(rounds[active].max())
+                     if active.size == 1 or proposed == stats.proposals else 1)
+            frame_accept, ran, poisson, still = _two_coin_rounds(
+                Xa[active], Va[active], log_h_a[active], C[active], t, oracle,
+                rng, max_rounds, round_limit=limit, chains=active)
+            stats.round_passes += int(ran.max())
+            stats.poisson_total += int(poisson.sum())
+            rounds[active] += ran
+            if still.size:
+                stuck = still[rounds[active[still]] >= max_rounds]
+                if stuck.size:
+                    raise _stuck_error(stuck, max_rounds, C[active],
+                                       log_h_a[active], active)
+            decided = np.ones(active.size, dtype=bool)
+            decided[still] = False
+            rows = active[decided]
+            moved = rows[frame_accept[decided] ^ swap[rows]]
+            stats.accepted += moved.size
+            stats.jump_sq_total += float(np.sum((Xt[moved] - X[moved]) ** 2))
+            X[moved], S[moved] = Xt[moved], St[moved]
+            took = rounds[rows]
+            stats.rounds_total += int(took.sum())
+            stats.max_rounds = max(stats.max_rounds, int(took.max(initial=0)))
+            pending[rows] = False
+            step = done[rows]
+            if on_step is not None:
+                on_step(rows, step, X[rows])
+            done[rows] = step + 1
+            free = rows[step + 1 < steps]
+    except MadmError as err:
+        if err.chain is not None and err.sweep is None:
+            err.sweep = int(done[err.chain])
+        raise
+    return X, S, stats
 
 
 def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule,
@@ -339,7 +455,8 @@ def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule,
         total = total + rule.weights[1:-1] @ integrands.reshape(interior.size, m)
     if not np.all(np.isfinite(total)):
         row = int(idx[np.flatnonzero(~np.isfinite(total))[0]])
-        raise NonFiniteError(f"quadrature log-ratio non-finite at chain {row}")
+        raise _at_chain(
+            NonFiniteError(f"quadrature log-ratio non-finite at chain {row}"), row)
     return total
 
 
@@ -385,20 +502,32 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                     rng: np.random.Generator, *, schedule=None, bound=None,
                     rule=None, hybrid_rounds: int = 10,
                     max_rounds: int = DEFAULT_MAX_ROUNDS,
-                    poisson_cap: float = HYBRID_POISSON_CAP):
-    """One corrector step for every chain; returns (X', S', stats).
+                    poisson_cap: float = HYBRID_POISSON_CAP,
+                    steps: int = 1, on_step=None):
+    """``steps`` corrector steps for every chain; returns (X', S', stats).
 
     ``S`` holds the cached scores of ``X`` at level ``t`` so repeated sweeps
     cost one new score evaluation per chain (the proposal endpoint) plus
-    whatever the decision itself queries.
+    whatever the decision itself queries.  The two-coin corrector runs its
+    steps out of lockstep and reports each chain's finished steps to
+    ``on_step`` (:func:`_two_coin_steps`); every other kind takes one
+    lockstep step.
     """
     if kind not in CORRECTOR_KINDS or kind == "none":
         raise ConfigError(f"unsupported corrector kind {kind!r}")
     if not (np.isfinite(h) and h > 0.0):
         raise DomainError(f"corrector step h must be finite and > 0, got {h}")
+    if steps < 1 or (steps > 1 and kind != "two-coin"):
+        raise ConfigError(f"steps={steps}: two-coin sweeps take steps >= 1, "
+                          f"every other kind exactly 1")
     n, d = X.shape
-    stats = SweepStats(proposals=n)
     queries_before = oracle.queries
+    if kind == "two-coin":
+        X, S, stats = _two_coin_steps(X, S, oracle, t, h, rng, steps, bound,
+                                      schedule, max_rounds, on_step)
+        stats.score_queries = oracle.queries - queries_before
+        return X, S, stats
+    stats = SweepStats(proposals=n)
 
     Z = rng.standard_normal((n, d))
     Xt = X + 0.5 * h * S + np.sqrt(h) * Z
@@ -414,12 +543,7 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
 
     V, f0, f1, logH = _endpoint_terms(X, Xt, S, St, h)
     rounds, poisson = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    if kind == "two-coin":
-        C = bound_c_batch(X, Xt, S, St, t, bound, schedule, oracle)
-        accept, rounds, poisson = _two_coin_accept(
-            X, Xt, logH, C, _swap_rows(f0, f1, logH), t, oracle, rng,
-            max_rounds)
-    elif kind == "oracle-mh":
+    if kind == "oracle-mh":
         log_r = oracle.log_density(Xt, t) - oracle.log_density(X, t)
         log_alpha = np.minimum(0.0, log_r + logH)
         accept = np.log(rng.uniform(size=n)) <= log_alpha
@@ -427,10 +551,15 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
         accept = _quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng)
     else:  # hybrid
         C = bound_c_batch(X, Xt, S, St, t, bound, schedule, oracle)
-        accept, rounds, poisson, _ = _hybrid_accept(
+        accept, rounds, poisson, fallback = _hybrid_accept(
             X, V, f0, f1, logH, C, t, rule, oracle, rng, hybrid_rounds,
             max_rounds, poisson_cap)
+        # iterations of the exact loop: the rounds without the fallback's
+        exact_rounds = rounds.copy()
+        exact_rounds[fallback] -= 1
+        stats.round_passes = int(exact_rounds.max(initial=0))
 
+    stats.max_rounds = int(rounds.max(initial=0))
     stats.accepted = int(accept.sum())
     stats.rounds_total = int(rounds.sum())
     stats.poisson_total = int(poisson.sum())

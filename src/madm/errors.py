@@ -7,7 +7,14 @@ exit with 3.
 
 
 class MadmError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    An error that one chain tripped sets ``chain`` to that chain's index in
+    its block and, once known, ``sweep`` to that chain's own corrector sweep.
+    """
+
+    chain = None
+    sweep = None
 
 
 class ConfigError(MadmError):

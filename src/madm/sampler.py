@@ -6,13 +6,17 @@ noise level (the corrector).  One run walks the noise levels from t = 1 down
 to t = 0, taking a single predictor step per level transition followed by K
 corrector steps targeting the level just reached.
 
-Chains start from N(0, I) at t = 1, run in lockstep arrays, and are fully
-reproducible from the seed with ``threads = 1`` (each thread block draws
-from its own spawned stream, merged in block order).
+Chains start from N(0, I) at t = 1 and are held in one array per thread
+block.  Each level's corrector steps run in lockstep sweeps, except the
+exact two-coin corrector's, whose chains each run their K steps out of
+lockstep (:func:`madm.engine.corrector_sweep`).  Runs are fully
+reproducible from the seed (each thread block draws from its own spawned
+stream, merged in block order).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -197,6 +201,8 @@ class LevelStats:
     esjd: float
     predictor_queries: int
     corrector_queries: int
+    round_passes: int = 0
+    max_rounds: int = 0
     post_mean: Optional[float] = None
     post_var: Optional[float] = None
     post_var_se: Optional[float] = None
@@ -235,6 +241,8 @@ class RunReport:
                 "esjd": ls.esjd,
                 "predictor_queries": ls.predictor_queries,
                 "corrector_queries": ls.corrector_queries,
+                "round_passes": ls.round_passes,
+                "max_rounds": ls.max_rounds,
             }
             if ls.post_var is not None:
                 row.update(post_mean=ls.post_mean, post_var=ls.post_var,
@@ -313,31 +321,44 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, oracle: ScoreOracle,
             S = oracle.score(X, level.t)
             engine._require_finite_rows(S, "score")
             acc.stats.score_queries += oracle.queries - q_entry
-            unit_sum = unit_sq = None
-            for sweep_idx in range(K):
-                try:
-                    X, S, st = engine.corrector_sweep(
-                        X, S, oracle, level.t, h, engine_kind, rng,
-                        schedule=schedule, bound=bound, rule=quad_rule,
-                        hybrid_rounds=config.corrector.hybrid_rounds,
-                        max_rounds=config.corrector.max_rounds,
-                        poisson_cap=config.corrector.poisson_cap,
-                    )
-                except MadmError as err:
-                    err.args = (f"corrector at level t={level.t:.6g}, "
-                                f"sweep {sweep_idx}: {err}",)
-                    raise
-                acc.stats.merge(st)
-                if sweep_idx >= burn:
-                    acc.moment_count += 1
-                    acc.moment_sum += float(X.sum())
-                    acc.moment_sq += float((X * X).sum())
-                    if unit_sum is None:
-                        unit_sum = X.copy()
-                        unit_sq = X * X
-                    else:
-                        unit_sum += X
-                        unit_sq += X * X
+            unit_sum, unit_sq = np.zeros_like(X), np.zeros_like(X)
+
+            def record(rows, steps, X_rows):
+                # post-burn-in moments of the chains that just finished a step
+                keep = steps >= burn
+                rows, X_rows = rows[keep], X_rows[keep]
+                sq = X_rows * X_rows
+                acc.moment_sum += float(X_rows.sum())
+                acc.moment_sq += float(sq.sum())
+                unit_sum[rows] += X_rows
+                unit_sq[rows] += sq
+
+            sweep = functools.partial(
+                engine.corrector_sweep, oracle=oracle, t=level.t, h=h,
+                kind=engine_kind, rng=rng, schedule=schedule, bound=bound,
+                rule=quad_rule, hybrid_rounds=config.corrector.hybrid_rounds,
+                max_rounds=config.corrector.max_rounds,
+                poisson_cap=config.corrector.poisson_cap)
+            sweep_idx = None
+            try:
+                if engine_kind == "two-coin":
+                    # one call: each chain runs its K steps out of lockstep
+                    X, S, st = sweep(X, S, steps=K, on_step=record)
+                    acc.stats.merge(st)
+                else:
+                    everyone = np.arange(n_chains)
+                    for sweep_idx in range(K):
+                        X, S, st = sweep(X, S)
+                        acc.stats.merge(st)
+                        record(everyone, np.full(n_chains, sweep_idx), X)
+            except MadmError as err:
+                if err.sweep is None:
+                    err.sweep = sweep_idx
+                at_sweep = "" if err.sweep is None else f", sweep {err.sweep}"
+                err.args = (f"corrector at level t={level.t:.6g}{at_sweep}: "
+                            f"{err}",)
+                raise
+            acc.moment_count = max(K - burn, 0)
             if acc.moment_count >= 2:
                 # per-(chain, dim) within-chain variance summaries
                 cnt = acc.moment_count
@@ -418,6 +439,7 @@ def run_pc(config: RunConfig) -> RunReport:
             esjd=st.jump_sq_total / props,
             predictor_queries=acc.predictor_queries,
             corrector_queries=st.score_queries,
+            round_passes=st.round_passes, max_rounds=st.max_rounds,
             post_mean=post_mean, post_var=post_var, post_var_se=post_se,
         ))
         predictor_total += acc.predictor_queries

@@ -14,7 +14,7 @@ score-approximation error.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,11 +159,10 @@ CHECKERBOARD_CELL = 2.0     # occupied cells tile [-4, 4]^2
 
 @dataclass(frozen=True)
 class Dataset2D:
-    """Point cloud in R^2 with its bounding box as metadata."""
+    """Nonempty, finite point cloud in R^2 and its name."""
 
     points: np.ndarray
     name: str
-    bbox: tuple = field(init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -172,10 +171,6 @@ class Dataset2D:
         if not np.all(np.isfinite(pts)):
             raise DomainError("dataset contains non-finite coordinates")
         object.__setattr__(self, "points", pts)
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        object.__setattr__(self, "bbox", (float(lo[0]), float(lo[1]),
-                                          float(hi[0]), float(hi[1])))
 
     def __len__(self):
         return self.points.shape[0]

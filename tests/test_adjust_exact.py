@@ -179,14 +179,15 @@ def test_two_coin_swap_direction_preserves_the_law():
     oracle, p = fixture_proposal()
     n = 20_000
     X, Xt, S, St = (np.broadcast_to(a, (n, 1)) for a in p.as_rows())
-    _, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, p.h)
+    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, p.h)
     # the sweep's own rule picks the reversed direction on this fixture:
     # log H = 0.4375 > (f(0) + f(1)) / 2 = -0.5
     swap = engine._swap_rows(f0, f1, logH)
     assert swap.all()
-    accept, _, _ = engine._two_coin_accept(
-        X, Xt, logH, np.full(n, 1.5), swap, p.t, oracle,
-        np.random.default_rng(7), engine.DEFAULT_MAX_ROUNDS)
+    frame_accept, _, _, _ = engine._two_coin_rounds(
+        *engine._decision_frame(X, Xt, V, logH, swap), np.full(n, 1.5), p.t,
+        oracle, np.random.default_rng(7), engine.DEFAULT_MAX_ROUNDS)
+    accept = frame_accept ^ swap
     alpha = expit(log_H(p) + np.log(R_FIXTURE))
     hits = accept.sum()
     se = np.sqrt(alpha * (1 - alpha) / n)

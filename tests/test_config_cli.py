@@ -115,7 +115,9 @@ def test_cli_sample_exit_2_on_bad_config(tmp_path, capsys):
     for bad in (["--set", "corrector.max_rounds=0"],
                 ["--corrector", "hybrid", "--set", "corrector.hybrid_rounds=-1"],
                 ["--corrector", "hybrid", "--set", "corrector.poisson_cap=-1"],
-                ["--set", "corrector.bound_value=-1"]):
+                ["--set", "corrector.bound_value=-1"],
+                ["--set", "corrector.step_scale=nan"],
+                ["--set", "corrector.step_scale=inf"]):
         capsys.readouterr()
         code = main(["sample", "--preset", "gaussian-bias", "--out",
                      str(tmp_path), "--quiet", "--set", "run.chains=8",

@@ -253,3 +253,210 @@ def test_two_coin_rounds_same_on_broadcast_and_copied_rows():
            for rows in (views, copies)]
     for a, b in zip(*out):
         np.testing.assert_array_equal(a, b)
+
+
+# -- two-coin steps out of lockstep ----------------------------------------------
+
+def _two_coin_sweep(X, oracle, rng, h=0.3, bound=BoundSpec("lipschitz"), **kw):
+    return engine.corrector_sweep(X, oracle.score(X, 1.0), oracle, 1.0, h,
+                                  "two-coin", rng, bound=bound, **kw)
+
+
+class _Steps:
+    """on_step recorder: per chain, the steps it finished, in order, and how
+    many of them moved the chain (an accepted proposal moves it a.s.)."""
+
+    def __init__(self, X):
+        self.last = X.copy()
+        self.steps = [[] for _ in range(X.shape[0])]
+        self.moves = np.zeros(X.shape[0], dtype=np.int64)
+
+    def __call__(self, rows, steps, X_rows):
+        for chain, step in zip(rows, steps):
+            self.steps[chain].append(int(step))
+        self.moves[rows] += np.any(X_rows != self.last[rows], axis=1)
+        self.last[rows] = X_rows
+
+
+def _spy_rounds(monkeypatch, decided, calls=None, oracle_for=None):
+    """Wrap the round loop: count the decisions each chain has made and the
+    iterations of each call; ``oracle_for(Xa, Va, chains, oracle)`` may
+    hand a call another oracle."""
+    real = engine._two_coin_rounds
+
+    def spy(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds, round_limit=None,
+            chains=None):
+        if oracle_for is not None:
+            oracle = oracle_for(Xa, Va, chains, oracle)
+        out = real(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
+                   round_limit=round_limit, chains=chains)
+        if calls is not None:
+            calls.append(int(out[1].max()))
+        undecided = np.zeros(len(chains), dtype=bool)
+        undecided[out[3]] = True
+        decided[chains[~undecided]] += 1
+        return out
+
+    monkeypatch.setattr(engine, "_two_coin_rounds", spy)
+
+
+def test_one_two_coin_step_is_the_lockstep_sweep():
+    # the lockstep sweep written out: every proposal, then the round loop run
+    # to the end on all rows at once; one step must draw the same numbers
+    oracle = gaussian_oracle(0.0, 1.0)
+    X = np.random.default_rng(20).standard_normal((3000, 1))
+    S = oracle.score(X, 1.0)
+    h, spec, sched = 0.4, BoundSpec("lipschitz"), NoiseSchedule.edm()
+    Xn, Sn, stats = engine.corrector_sweep(
+        X, S, oracle, 1.0, h, "two-coin", np.random.default_rng(21),
+        schedule=sched, bound=spec)
+    rng = np.random.default_rng(21)
+    Xt = X + 0.5 * h * S + np.sqrt(h) * rng.standard_normal(X.shape)
+    St = oracle.score(Xt, 1.0)
+    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
+    C = engine.bound_c_batch(X, Xt, S, St, 1.0, spec, sched, oracle)
+    swap = engine._swap_rows(f0, f1, logH)
+    frame_accept, rounds, poisson, _ = engine._two_coin_rounds(
+        *engine._decision_frame(X, Xt, V, logH, swap), C, 1.0, oracle, rng,
+        engine.DEFAULT_MAX_ROUNDS)
+    accept = frame_accept ^ swap
+    np.testing.assert_array_equal(Xn, np.where(accept[:, None], Xt, X))
+    np.testing.assert_array_equal(Sn, np.where(accept[:, None], St, S))
+    assert stats.accepted == accept.sum()
+    assert stats.rounds_total == rounds.sum()
+    assert stats.poisson_total == poisson.sum()
+    assert stats.round_passes == stats.max_rounds == rounds.max() > 1
+
+
+def test_two_coin_steps_make_exactly_k_proposals_per_chain():
+    oracle = gaussian_oracle(0.0, 1.0)
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((300, 1))
+    seen = _Steps(X)
+    Xn, _, stats = _two_coin_sweep(X, oracle, rng, steps=7, on_step=seen)
+    assert stats.proposals == 300 * 7
+    assert all(steps == list(range(7)) for steps in seen.steps)
+    assert stats.accepted == seen.moves.sum()
+    np.testing.assert_array_equal(Xn, seen.last)
+    # out of lockstep the passes track the mean, not the sum of the maxima
+    assert stats.max_rounds < stats.round_passes < 7 * stats.max_rounds
+
+
+@pytest.mark.parametrize("h", [0.2, 0.4])
+def test_two_coin_steps_keep_the_barker_rate_and_stationarity(h):
+    # chains started in stationarity take K = 3 steps each; per-chain
+    # acceptance counts are independent across chains, so their spread gives
+    # the standard error without assuming the steps are independent
+    n, k = 100_000, 3
+    oracle = gaussian_oracle(0.0, 1.0)
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((n, 1))
+    seen = _Steps(X)
+    Xn, _, stats = _two_coin_sweep(X, oracle, rng, h=h, steps=k, on_step=seen)
+    want, se_want = _analytic_barker_acceptance(h)
+    per_chain = seen.moves / k
+    se = np.sqrt(per_chain.var(ddof=1) / n + se_want ** 2)
+    assert stats.accepted / stats.proposals == pytest.approx(per_chain.mean())
+    assert abs(per_chain.mean() - want) < 4.0 * se
+    assert abs(Xn.var(ddof=1) - 1.0) < 4.0 * np.sqrt(2.0 / (n - 1))
+
+
+def test_two_coin_steps_name_the_stuck_chain_and_its_own_sweep(monkeypatch):
+    oracle = gaussian_oracle(0.0, 1.0)
+    rng = np.random.default_rng(25)
+    X = rng.standard_normal((3, 1))
+    decided = np.zeros(3, dtype=np.int64)
+    _spy_rounds(monkeypatch, decided)
+    # at h = 0.02 the sharp envelope decides nearly every proposal in its
+    # first round, so the first decision to need a second comes steps in
+    with pytest.raises(NonterminationError) as info:
+        _two_coin_sweep(X, oracle, rng, h=0.02,
+                        bound=BoundSpec("lipschitz-sharp"), steps=1000,
+                        max_rounds=1)
+    err = info.value
+    assert f"first stuck chain {err.chain}" in str(err)
+    # the sweep is the stuck chain's own: the decisions it made before
+    assert err.sweep == decided[err.chain] > 0
+    assert err.rounds == 1
+
+
+def _nan_on_segment(oracle, start, direction):
+    """``oracle``'s score, NaN strictly inside one segment of R^2."""
+    norm2 = float(direction @ direction)
+
+    def score(x, t):
+        out = oracle.score_fn(x, t)
+        rel = np.atleast_2d(x) - start
+        along = rel @ direction / norm2
+        off = np.abs(rel[:, 0] * direction[1] - rel[:, 1] * direction[0])
+        hit = (along > 1e-9) & (along < 1 - 1e-9) & (off < 1e-9 * norm2)
+        out = np.atleast_2d(out).copy()
+        out[hit] = np.nan
+        return out.reshape(np.shape(x))
+
+    return ScoreOracle(dim=2, score_fn=score, lipschitz=oracle.lipschitz)
+
+
+def test_two_coin_steps_name_the_chain_and_step_of_a_nan_interior_score(
+        monkeypatch):
+    # the score turns NaN on the segment of chain 2's third proposal only;
+    # a manual C = 5 makes that decision draw interior points at once
+    chain, oracle = 2, gaussian_oracle(np.zeros(2), 1.0)
+    decided = np.zeros(5, dtype=np.int64)
+
+    def oracle_for(Xa, Va, chains, given):
+        hit = np.flatnonzero(chains == chain)
+        if hit.size and decided[chain] == 2:
+            return _nan_on_segment(oracle, Xa[hit[0]], Va[hit[0]])
+        return given
+
+    _spy_rounds(monkeypatch, decided, oracle_for=oracle_for)
+    rng = np.random.default_rng(26)
+    X = rng.standard_normal((5, 2))
+    with pytest.raises(NonFiniteError,
+                       match=f"interior score at chain {chain}$") as info:
+        _two_coin_sweep(X, oracle, rng, h=0.1, bound=BoundSpec("manual", 5.0),
+                        steps=6)
+    assert (info.value.chain, info.value.sweep) == (chain, 2)
+    assert decided[chain] == 2
+
+
+def test_two_coin_steps_name_the_chain_of_an_endpoint_bound_violation():
+    oracle = gaussian_oracle(0.0, 1.0)
+    X = np.full((8, 1), 3.0)
+    with pytest.raises(BoundViolationError, match="chain 0 ") as info:
+        _two_coin_sweep(X, oracle, np.random.default_rng(27), h=0.4,
+                        bound=BoundSpec("manual", 1e-4), steps=4)
+    assert (info.value.chain, info.value.sweep) == (0, 0)
+
+
+def test_sweep_steps_run_only_for_two_coin():
+    oracle = gaussian_oracle(0.0, 1.0)
+    X = np.zeros((4, 1))
+    with pytest.raises(ConfigError, match="steps"):
+        engine.corrector_sweep(X, X, oracle, 1.0, 0.1, "ula",
+                               np.random.default_rng(0), steps=2)
+    with pytest.raises(ConfigError, match="steps"):
+        _two_coin_sweep(X, oracle, np.random.default_rng(0), steps=0)
+
+
+def test_sweep_stats_merge_sums_passes_and_keeps_the_longest_decision():
+    a = engine.SweepStats(round_passes=30, max_rounds=7)
+    a.merge(engine.SweepStats(round_passes=12, max_rounds=9))
+    a.merge(engine.SweepStats(round_passes=5, max_rounds=2))
+    assert (a.round_passes, a.max_rounds) == (47, 9)
+
+
+def test_hybrid_reports_round_loop_iterations(monkeypatch):
+    oracle = gaussian_oracle(0.0, 1.0)
+    rng = np.random.default_rng(28)
+    X = rng.standard_normal((2000, 1))
+    calls = []
+    _spy_rounds(monkeypatch, np.zeros(2000, dtype=np.int64), calls)
+    _, _, stats = engine.corrector_sweep(
+        X, oracle.score(X, 1.0), oracle, 1.0, 0.4, "hybrid", rng,
+        schedule=NoiseSchedule.edm(), bound=BoundSpec("lipschitz"),
+        rule=simpson13(), hybrid_rounds=3)
+    assert calls and stats.round_passes == sum(calls) == 3
+    # budget-exhausted rows count their fallback decision as one more round
+    assert stats.max_rounds == 4

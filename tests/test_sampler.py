@@ -234,3 +234,78 @@ def test_run_pc_diagnostics_csv_format(tmp_path):
     report.write_samples_csv(samples_path)
     loaded = np.loadtxt(samples_path, delimiter=",", ndmin=2)
     np.testing.assert_array_equal(loaded, report.samples)
+
+
+# -- two-coin chains out of lockstep ----------------------------------------------
+
+def _two_coin_config(**run):
+    return config_from_dict({
+        "target": {"kind": "gaussian", "mean": 0.0, "variance": 1.0, "dim": 1},
+        "schedule": {"kind": "edm"},
+        "predictor": {"kind": "none"},
+        "corrector": {"kind": "two-coin", "steps": 40, "step_scale": 0.4,
+                      "step_rule": "const", "bound": "lipschitz"},
+        "run": {"chains": 64, "seed": 31, **run},
+    })
+
+
+def _without_wall_time(report):
+    summary = report.summary_dict()
+    summary.pop("wall_time_s")
+    return summary
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_pc_two_coin_reruns_are_byte_identical(threads):
+    cfg = _two_coin_config(threads=threads)
+    a, b = run_pc(cfg), run_pc(cfg)
+    assert a.samples.tobytes() == b.samples.tobytes()
+    assert _without_wall_time(a) == _without_wall_time(b)
+
+
+def test_run_pc_round_telemetry_merges_across_blocks():
+    from madm.sampler import _run_block
+
+    cfg = _two_coin_config(threads=2)
+    report = run_pc(cfg)
+    schedule = cfg.schedule.build()
+    blocks = [_run_block(cfg, schedule, cfg.target.build_oracle(schedule), 32,
+                         child)[1][0].stats
+              for child in np.random.SeedSequence(31).spawn(2)]
+    level = report.summary_dict()["per_level"][0]
+    assert level["round_passes"] == sum(b.round_passes for b in blocks) > 0
+    assert level["max_rounds"] == max(b.max_rounds for b in blocks) >= 1
+    assert level["max_rounds"] >= level["mean_rounds"]
+
+
+def test_run_pc_round_passes_are_the_round_loop_iterations(monkeypatch):
+    from madm import engine
+
+    real, iterations = engine._two_coin_rounds, []
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        iterations.append(int(out[1].max()))
+        return out
+
+    monkeypatch.setattr(engine, "_two_coin_rounds", spy)
+    for kind in ("two-coin", "hybrid"):
+        iterations.clear()
+        cfg = _base_config(corrector={"kind": kind, "steps": 6,
+                                      "step_scale": 0.5, "step_rule": "beta",
+                                      "bound": "lipschitz"})
+        report = run_pc(cfg)
+        assert sum(ls.round_passes for ls in report.per_level) == \
+            sum(iterations) > 0, kind
+
+
+def test_run_pc_two_coin_error_names_level_chain_and_its_sweep():
+    from madm.errors import NonterminationError
+
+    cfg = _two_coin_config()
+    cfg.corrector.max_rounds = 1
+    with pytest.raises(NonterminationError) as info:
+        run_pc(cfg)
+    err = info.value
+    assert str(err).startswith(f"corrector at level t=1, sweep {err.sweep}: ")
+    assert str(err).endswith(f"(first stuck chain {err.chain})")
