@@ -16,8 +16,8 @@ probability alpha' = (1 + H e^C)^{-1}, otherwise accepts with probability W,
 otherwise restarts; rounds are geometric with success (1 + Hr)/(1 + H e^C)
 and the expected number of interior score queries is 2 C H e^C / (1 + Hr).
 
-The decisions run in :mod:`madm.engine`; this module holds the envelope of
-one proposal, the closed-form costs and the replicate samplers that the
+The decisions and the envelope C run in :mod:`madm.engine`; this module
+holds the closed-form costs and the replicate samplers that the
 verification suites replay on one fixed proposal.
 """
 
@@ -26,29 +26,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .engine import DEFAULT_MAX_ROUNDS, BoundSpec
+from .engine import DEFAULT_MAX_ROUNDS
 from .errors import DomainError
-from .proposal import LangevinProposal
-from .schedule import NoiseSchedule
 from .targets import ScoreOracle
 
 
 def _check_c(C: float) -> None:
-    if C < 0:
-        raise DomainError(f"C must be >= 0, got {C}")
-
-
-def bound_C(p: LangevinProposal, spec: BoundSpec, schedule: NoiseSchedule,
-            oracle: ScoreOracle) -> float:
-    """Envelope C(x, x_tilde) dominating the line integrand along the segment.
-
-    :func:`madm.engine.bound_c_batch` on the proposal's one row; its
-    docstring gives the bounded-denoiser, Lipschitz and sharp Lipschitz
-    formulas.  C must dominate the cached endpoint integrands |f(0)| and
-    |f(1)| or the bound is rejected outright.
-    """
-    return float(engine.bound_c_batch(*p.as_rows(), p.t, spec, schedule,
-                                      oracle)[0])
+    if not (np.isfinite(C) and C >= 0):
+        raise DomainError(f"C must be finite and >= 0, got {C}")
 
 
 def expected_rounds(C: float, H: float, r: float) -> float:
@@ -73,31 +58,36 @@ def _check_cost_args(C, H, r):
 # Replicate samplers (verification instrumentation)
 #
 # The verification suites need 1e5..1e6 independent replays of the factory on
-# a fixed proposal; these run the engine kernels on n broadcast copies of the
-# proposal's row, so replicate i is reported as chain i.
+# a fixed proposal x -> x + v at level t; these run the engine kernels on n
+# broadcast copies of its row, so replicate i is reported as chain i.
 # ---------------------------------------------------------------------------
 
-def _replicate_rows(p: LangevinProposal, C: float, n: int):
+def _replicate_rows(x, v, C: float, n: int):
     """(x, v, C) as read-only views of n identical rows."""
     _check_c(C)
-    d = p.x.shape[-1]
-    return (np.broadcast_to(p.x, (n, d)), np.broadcast_to(p.displacement, (n, d)),
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    if x.ndim != 1 or x.shape != v.shape:
+        raise DomainError(f"x and v must be aligned 1-D arrays, got shapes "
+                          f"{x.shape} and {v.shape}")
+    d = x.shape[0]
+    return (np.broadcast_to(x, (n, d)), np.broadcast_to(v, (n, d)),
             np.broadcast_to(float(C), (n,)))
 
 
-def poisson_w_replicates(p: LangevinProposal, oracle: ScoreOracle, C: float,
+def poisson_w_replicates(x, v, C: float, t: float, oracle: ScoreOracle,
                          rng: np.random.Generator, n: int) -> np.ndarray:
-    """n independent draws of W for a fixed proposal (batched)."""
-    X, V, C_rows = _replicate_rows(p, C, n)
+    """n independent draws of W for the proposal x -> x + v (batched)."""
+    X, V, C_rows = _replicate_rows(x, v, C, n)
     counts = rng.poisson(2.0 * C_rows)
-    return engine._factor_products(X, V, C_rows, np.arange(n), counts, p.t,
+    return engine._factor_products(X, V, C_rows, np.arange(n), counts, t,
                                    oracle, rng)
 
 
-def two_coin_replicates(p: LangevinProposal, oracle: ScoreOracle, C: float,
-                        rng: np.random.Generator, n: int,
+def two_coin_replicates(x, v, C: float, t: float, log_h: float,
+                        oracle: ScoreOracle, rng: np.random.Generator, n: int,
                         max_rounds: int = DEFAULT_MAX_ROUNDS) -> dict:
-    """n independent two-coin decisions for a fixed proposal (batched).
+    """n independent two-coin decisions for the proposal x -> x + v whose
+    proposal log-ratio is ``log_h`` (batched).
 
     Returns arrays: ``accept`` (bool), ``rounds``, ``poisson_total`` and the
     scalar total of interior score queries.  Each frame runs from x, without
@@ -105,10 +95,10 @@ def two_coin_replicates(p: LangevinProposal, oracle: ScoreOracle, C: float,
     Barker's acceptance law.
     """
     queries_before = oracle.queries
-    X, V, C_rows = _replicate_rows(p, C, n)
-    log_h = np.broadcast_to(engine.log_h_batch(*p.as_rows(), p.h)[0], (n,))
+    X, V, C_rows = _replicate_rows(x, v, C, n)
+    log_h_rows = np.broadcast_to(float(log_h), (n,))
     accept, rounds, poisson, _ = engine._two_coin_rounds(
-        X, V, log_h, C_rows, p.t, oracle, rng, max_rounds)
+        X, V, log_h_rows, C_rows, t, oracle, rng, max_rounds)
     return {
         "accept": accept,
         "rounds": rounds,

@@ -5,18 +5,18 @@ A rule with N+1 equally spaced nodes approximates the score line integral as
     I_hat = sum_i w_i <s(x + (i/N) v, t), v>,        sum_i w_i = 1,
 
 and plugs into the Metropolis-Hastings acceptance min{1, exp(I_hat) H}.
-Endpoint scores are reused from the proposal record, so the trapezoid rule
-costs no extra queries, Simpson 1/3 costs one midpoint evaluation and
+The endpoint integrands reuse the cached endpoint scores, so the trapezoid
+rule costs no extra queries, Simpson 1/3 costs one midpoint evaluation and
 Simpson 3/8 two.  Truncation errors are governed by derivatives of the
 integrand, giving O(h^{3/2}) accuracy for the trapezoid rule and O(h^{5/2})
 for both Simpson rules as the Langevin step h shrinks.
 
-This module holds the rules and the estimate for one fixed proposal; the MH
-and hybrid decisions run batched in :mod:`madm.engine`
-(``_quadrature_accept`` and ``_hybrid_accept``).  The hybrid tries a capped
-number of exact two-coin rounds first and falls back to the quadrature MH
-decision, bounding worst-case cost while keeping the exact update whenever
-the factory terminates in time.
+This module holds the rules.  The estimate (``_quadrature_log_ratio_batch``)
+and the MH and hybrid decisions (``_quadrature_accept`` and
+``_hybrid_accept``) run batched in :mod:`madm.engine`.  The hybrid tries a
+capped number of exact two-coin rounds first and falls back to the
+quadrature MH decision, bounding worst-case cost while keeping the exact
+update whenever the factory terminates in time.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import engine
 from .errors import ConfigError, DomainError
-from .proposal import LangevinProposal
-from .targets import ScoreOracle
 
 
 @dataclass(frozen=True)
@@ -111,16 +108,3 @@ def rule_by_name(name: str) -> QuadratureRule:
         raise ConfigError(
             f"unknown quadrature rule {name!r}; expected one of {sorted(RULES)}"
         ) from None
-
-
-def quadrature_log_ratio(p: LangevinProposal, oracle: ScoreOracle,
-                         rule: QuadratureRule) -> float:
-    """Newton-Cotes estimate of log p_t(x_tilde) - log p_t(x).
-
-    Interior nodes are evaluated in one batched score call; endpoints reuse
-    the cached proposal scores.
-    """
-    X, Xt, S, St = p.as_rows()
-    V, f0, f1, _ = engine._endpoint_terms(X, Xt, S, St, p.h)
-    return float(engine._quadrature_log_ratio_batch(X, V, f0, f1, p.t, rule,
-                                                    oracle)[0])

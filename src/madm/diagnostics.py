@@ -131,11 +131,12 @@ def empirical_scaling_acceptance(d: int, l: float, n_proposals: int,
         xt = x - 0.5 * h * x + np.sqrt(h) * z
         log_r = 0.5 * (np.einsum("ij,ij->i", x, x) -
                        np.einsum("ij,ij->i", xt, xt))
+        v = xt - x
         # the N(0, I) score is -x
-        alpha = expit(log_r + log_h_batch(x, xt, -x, -xt, h))
+        alpha = expit(log_r + log_h_batch(v, -x, -xt, h))
         acc = rng.uniform(size=m) <= alpha
         accepted += int(acc.sum())
-        jump_sq += float(np.sum((xt - x)[acc] ** 2))
+        jump_sq += float(np.sum(v[acc] ** 2))
         done += m
     return accepted / n_proposals, jump_sq / n_proposals
 

@@ -12,15 +12,15 @@ which rows are still undecided.
 Every accept/reject decision is made here, by :func:`corrector_sweep` and
 the decision kernels it calls (:func:`_two_coin_steps`,
 :func:`_quadrature_accept`, :func:`_hybrid_accept`, whose ``fallback`` rows
-record which path decided).  The quadrature, hybrid, oracle-mh and ula
-sweeps move all chains one step in lockstep.  The two-coin corrector's round
-count is geometric with a heavy tail, so its chains run out of lockstep
-instead: each pass proposes for every chain whose last decision is made and
-then runs one round for every chain still deciding, and a chain starts its
-next step as soon as its own decision is made.  The replicate samplers of
+record which path decided).  One call runs all K steps of a level.  The
+quadrature, hybrid, oracle-mh and ula correctors move all chains one step
+at a time, in lockstep.  The two-coin corrector's round count is geometric
+with a heavy tail, so its chains run out of lockstep instead: each pass
+proposes for every chain whose last decision is made and then runs one
+round for every chain still deciding, and a chain starts its next step as
+soon as its own decision is made.  The replicate samplers of
 :mod:`madm.adjust_exact` run the same kernels on broadcast views of one
-fixed proposal; ``bound_C``, ``log_H`` and ``quadrature_log_ratio`` run them
-on one row.
+fixed proposal, and the verification suites call them on one-row arrays.
 
 The two-coin decision may run each pair in whichever direction is cheaper
 (Barker satisfies alpha(x -> y) = 1 - alpha(y -> x), so negating the
@@ -164,8 +164,9 @@ def _segment_products(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def bound_c_batch(X, Xt, S, St, t, spec: BoundSpec, schedule: NoiseSchedule,
-                  oracle: ScoreOracle, chains=None) -> np.ndarray:
+def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
+                  schedule: NoiseSchedule, oracle: ScoreOracle,
+                  chains=None) -> np.ndarray:
     """Row-wise envelope C(x, x_tilde) dominating the line integrand.
 
     Bounded-denoiser route (Tweedie: the posterior mean of the clean data
@@ -187,14 +188,12 @@ def bound_c_batch(X, Xt, S, St, t, spec: BoundSpec, schedule: NoiseSchedule,
     and is exactly tight for affine integrands (Gaussian targets), which
     collapses the e^C tail of the loop's round count.
 
-    Each row's C is checked against its endpoint integrands: C must dominate
+    ``V``, ``f0`` and ``f1`` are the rows' :func:`_endpoint_terms`.  Each
+    row's C is checked against its endpoint integrands: C must dominate
     |f(0)| and |f(1)| or the bound is rejected outright.  ``chains`` maps
     rows to the chain numbers that errors report.
     """
-    V = Xt - X
     norm_v = np.linalg.norm(V, axis=1)
-    f0 = _row_dot(S, V)
-    f1 = _row_dot(St, V)
     if spec.strategy == BOUNDED_DENOISER:
         b = spec.value if spec.value is not None else oracle.denoiser_bound
         if b is None:
@@ -233,10 +232,11 @@ def bound_c_batch(X, Xt, S, St, t, spec: BoundSpec, schedule: NoiseSchedule,
     return c
 
 
-def log_h_batch(X, Xt, S, St, h: float) -> np.ndarray:
-    """Row-wise log of the proposal ratio q(x | x_tilde) / q(x_tilde | x)."""
-    fwd = Xt - X - 0.5 * h * S
-    bwd = X - Xt - 0.5 * h * St
+def log_h_batch(V, S, St, h: float) -> np.ndarray:
+    """Row-wise log of the proposal ratio q(x | x_tilde) / q(x_tilde | x),
+    from the displacements v = x_tilde - x and the endpoint scores."""
+    fwd = V - 0.5 * h * S
+    bwd = -V - 0.5 * h * St
     return (_row_dot(fwd, fwd) - _row_dot(bwd, bwd)) / (2.0 * h)
 
 
@@ -330,7 +330,7 @@ def _stuck_error(stuck, max_rounds, C, log_h_a, chains=None):
 def _endpoint_terms(X, Xt, S, St, h):
     """(v, f(0), f(1), log H) per row, from the cached endpoint scores."""
     V = Xt - X
-    return V, _row_dot(S, V), _row_dot(St, V), log_h_batch(X, Xt, S, St, h)
+    return V, _row_dot(S, V), _row_dot(St, V), log_h_batch(V, S, St, h)
 
 
 def _swap_rows(f0, f1, logH):
@@ -384,8 +384,8 @@ def _two_coin_steps(X, S, oracle, t, h, rng, steps, bound, schedule,
                 st = oracle.score(xt, t)
                 _require_finite_rows(st, "score", free)
                 v, f0, f1, logH = _endpoint_terms(x, xt, s, st, h)
-                C[free] = bound_c_batch(x, xt, s, st, t, bound, schedule,
-                                        oracle, free)
+                C[free] = bound_c_batch(x, xt, s, st, v, f0, f1, t, bound,
+                                        schedule, oracle, free)
                 sw = _swap_rows(f0, f1, logH)
                 Xa[free], Va[free], log_h_a[free] = _decision_frame(
                     x, xt, v, logH, sw)
@@ -506,27 +506,49 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                     steps: int = 1, on_step=None):
     """``steps`` corrector steps for every chain; returns (X', S', stats).
 
-    ``S`` holds the cached scores of ``X`` at level ``t`` so repeated sweeps
+    ``S`` holds the cached scores of ``X`` at level ``t`` so repeated steps
     cost one new score evaluation per chain (the proposal endpoint) plus
     whatever the decision itself queries.  The two-coin corrector runs its
-    steps out of lockstep and reports each chain's finished steps to
-    ``on_step`` (:func:`_two_coin_steps`); every other kind takes one
-    lockstep step.
+    steps out of lockstep (:func:`_two_coin_steps`); every other kind moves
+    all chains one step at a time.  ``on_step(chains, step, X_rows)``
+    receives the chains that finish a step, the index of that step and their
+    new states.  An error that names no sweep yet is given the index of the
+    step it was raised in.
     """
     if kind not in CORRECTOR_KINDS or kind == "none":
         raise ConfigError(f"unsupported corrector kind {kind!r}")
     if not (np.isfinite(h) and h > 0.0):
         raise DomainError(f"corrector step h must be finite and > 0, got {h}")
-    if steps < 1 or (steps > 1 and kind != "two-coin"):
-        raise ConfigError(f"steps={steps}: two-coin sweeps take steps >= 1, "
-                          f"every other kind exactly 1")
-    n, d = X.shape
-    queries_before = oracle.queries
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
     if kind == "two-coin":
+        queries_before = oracle.queries
         X, S, stats = _two_coin_steps(X, S, oracle, t, h, rng, steps, bound,
                                       schedule, max_rounds, on_step)
         stats.score_queries = oracle.queries - queries_before
         return X, S, stats
+    stats = SweepStats()
+    everyone = np.arange(X.shape[0])
+    for step in range(steps):
+        try:
+            X, S, st = _lockstep_step(X, S, oracle, t, h, kind, rng, schedule,
+                                      bound, rule, hybrid_rounds, max_rounds,
+                                      poisson_cap)
+        except MadmError as err:
+            if err.sweep is None:
+                err.sweep = step
+            raise
+        stats.merge(st)
+        if on_step is not None:
+            on_step(everyone, np.full(X.shape[0], step), X)
+    return X, S, stats
+
+
+def _lockstep_step(X, S, oracle, t, h, kind, rng, schedule, bound, rule,
+                   hybrid_rounds, max_rounds, poisson_cap):
+    """One step of every chain for every kind but two-coin."""
+    n, d = X.shape
+    queries_before = oracle.queries
     stats = SweepStats(proposals=n)
 
     Z = rng.standard_normal((n, d))
@@ -550,7 +572,7 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
     elif kind == "quadrature":
         accept = _quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng)
     else:  # hybrid
-        C = bound_c_batch(X, Xt, S, St, t, bound, schedule, oracle)
+        C = bound_c_batch(X, Xt, S, St, V, f0, f1, t, bound, schedule, oracle)
         accept, rounds, poisson, fallback = _hybrid_accept(
             X, V, f0, f1, logH, C, t, rule, oracle, rng, hybrid_rounds,
             max_rounds, poisson_cap)

@@ -7,16 +7,15 @@ to t = 0, taking a single predictor step per level transition followed by K
 corrector steps targeting the level just reached.
 
 Chains start from N(0, I) at t = 1 and are held in one array per thread
-block.  Each level's corrector steps run in lockstep sweeps, except the
-exact two-coin corrector's, whose chains each run their K steps out of
-lockstep (:func:`madm.engine.corrector_sweep`).  Runs are fully
-reproducible from the seed (each thread block draws from its own spawned
-stream, merged in block order).
+block.  Each level's K corrector steps run in one call to
+:func:`madm.engine.corrector_sweep`: in lockstep sweeps, except the exact
+two-coin corrector's, whose chains each run their K steps out of lockstep.
+Runs are fully reproducible from the seed (each thread block draws from its
+own spawned stream, merged in block order).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,9 +25,9 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .adjust_exact import BoundSpec
 from .adjust_quadrature import rule_by_name
 from .config import RunConfig
+from .engine import BoundSpec
 from .errors import ConfigError, MadmError, NonFiniteError
 from .schedule import NoiseSchedule, VP_DISCRETE
 from .targets import ScoreOracle
@@ -333,31 +332,20 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, oracle: ScoreOracle,
                 unit_sum[rows] += X_rows
                 unit_sq[rows] += sq
 
-            sweep = functools.partial(
-                engine.corrector_sweep, oracle=oracle, t=level.t, h=h,
-                kind=engine_kind, rng=rng, schedule=schedule, bound=bound,
-                rule=quad_rule, hybrid_rounds=config.corrector.hybrid_rounds,
-                max_rounds=config.corrector.max_rounds,
-                poisson_cap=config.corrector.poisson_cap)
-            sweep_idx = None
             try:
-                if engine_kind == "two-coin":
-                    # one call: each chain runs its K steps out of lockstep
-                    X, S, st = sweep(X, S, steps=K, on_step=record)
-                    acc.stats.merge(st)
-                else:
-                    everyone = np.arange(n_chains)
-                    for sweep_idx in range(K):
-                        X, S, st = sweep(X, S)
-                        acc.stats.merge(st)
-                        record(everyone, np.full(n_chains, sweep_idx), X)
+                X, S, st = engine.corrector_sweep(
+                    X, S, oracle, level.t, h, engine_kind, rng,
+                    schedule=schedule, bound=bound, rule=quad_rule,
+                    hybrid_rounds=config.corrector.hybrid_rounds,
+                    max_rounds=config.corrector.max_rounds,
+                    poisson_cap=config.corrector.poisson_cap, steps=K,
+                    on_step=record)
             except MadmError as err:
-                if err.sweep is None:
-                    err.sweep = sweep_idx
                 at_sweep = "" if err.sweep is None else f", sweep {err.sweep}"
                 err.args = (f"corrector at level t={level.t:.6g}{at_sweep}: "
                             f"{err}",)
                 raise
+            acc.stats.merge(st)
             acc.moment_count = max(K - burn, 0)
             if acc.moment_count >= 2:
                 # per-(chain, dim) within-chain variance summaries

@@ -2,9 +2,12 @@
 
 Each suite checks one pillar of the accept/reject machinery against an
 independent closed-form or statistical oracle and returns a dictionary with
-a boolean ``pass`` plus the measured numbers.  Suite sizes here are chosen
-to finish in seconds; the acceptance test suite runs the same checks at
-their full stated sample sizes.
+a boolean ``pass`` plus the measured numbers.  The suites state each fixed
+proposal as one-row arrays and call the batched kernels of
+:mod:`madm.engine` and the replicate samplers of :mod:`madm.adjust_exact`
+on them directly.  Suite sizes here are chosen to finish in seconds; the
+acceptance test suite runs the same checks at their full stated sample
+sizes.
 """
 
 from __future__ import annotations
@@ -12,14 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import diagnostics, engine
-from .adjust_exact import (BoundSpec, bound_C, expected_queries,
-                           expected_rounds, poisson_w_replicates,
-                           two_coin_replicates)
-from .adjust_quadrature import (composite, quadrature_log_ratio, rule_by_name,
-                                simpson13)
+from .adjust_exact import (expected_queries, expected_rounds,
+                           poisson_w_replicates, two_coin_replicates)
+from .adjust_quadrature import composite, rule_by_name, simpson13
 from .config import RunConfig, config_from_dict
+from .engine import BoundSpec
 from .errors import ConfigError
-from .proposal import LangevinProposal, log_H, make_proposal
 from .sampler import run_pc
 from .schedule import NoiseSchedule
 from .targets import (Dataset2D, diffused_empirical_oracle, gaussian_oracle,
@@ -29,34 +30,40 @@ from .targets import (Dataset2D, diffused_empirical_oracle, gaussian_oracle,
 GAUSSIAN_FIXTURE_R = float(np.exp(-0.5))  # density ratio for x=0 -> x=1 on N(0,1)
 
 
-def gaussian_fixture_proposal(h: float = 0.5):
-    """The 1D standard-normal pair x=0, x_tilde=1 with real cached scores."""
+def _pair_rows(x, x_tilde, oracle, t: float):
+    """One-row arrays (X, Xt, S, St) of the pair x -> x_tilde at level t,
+    with the scores of both endpoints (two queries)."""
+    x = np.asarray(x, dtype=float)
+    x_tilde = np.asarray(x_tilde, dtype=float)
+    return (x[None, :], x_tilde[None, :], oracle.score(x, t)[None, :],
+            oracle.score(x_tilde, t)[None, :])
+
+
+def gaussian_fixture_proposal():
+    """The 1D standard-normal pair x=0, x_tilde=1 at t = 1 with real
+    endpoint scores: the oracle and the rows (X, Xt, S, St)."""
     oracle = gaussian_oracle(0.0, 1.0)
-    prop = make_proposal(np.array([0.0]), np.array([1.0]), oracle, t=1.0, h=h)
-    return oracle, prop
+    return oracle, _pair_rows(np.array([0.0]), np.array([1.0]), oracle, 1.0)
 
 
-def unit_h_fixture_proposal(h: float = 0.5):
-    """Same pair with zeroed cached endpoint scores, so H = 1 exactly.
+def unit_h_fixture_proposal():
+    """Same pair with zeroed endpoint scores, so H = 1 exactly.
 
     The factory's interior draws still query the real score, so the
     estimated ratio stays r = e^{-1/2}; only the proposal-ratio term is
     pinned.
     """
     oracle = gaussian_oracle(0.0, 1.0)
-    zero = np.array([0.0])
-    prop = LangevinProposal(x=np.array([0.0]), x_tilde=np.array([1.0]),
-                            h=h, t=1.0, score_x=zero.copy(),
-                            score_x_tilde=zero.copy())
-    return oracle, prop
+    zero = np.zeros((1, 1))
+    return oracle, (np.array([[0.0]]), np.array([[1.0]]), zero, zero)
 
 
 def suite_lemma1(seed: int = 0, n: int = 200_000) -> dict:
     """e^C E[W] must equal the closed-form density ratio r (4 sigma band)."""
     rng = np.random.default_rng(seed)
-    oracle, prop = gaussian_fixture_proposal()
+    oracle, (X, Xt, _, _) = gaussian_fixture_proposal()
     c = 1.0
-    w = poisson_w_replicates(prop, oracle, c, rng, n)
+    w = poisson_w_replicates(X[0], Xt[0] - X[0], c, 1.0, oracle, rng, n)
     estimate = float(np.exp(c) * w.mean())
     stderr = float(np.exp(c) * w.std(ddof=1) / np.sqrt(n))
     err = abs(estimate - GAUSSIAN_FIXTURE_R)
@@ -69,7 +76,8 @@ def suite_lemma1(seed: int = 0, n: int = 200_000) -> dict:
 
 
 def _exactness_cases(rng: np.random.Generator, count: int):
-    """Randomised (target, x, x_tilde, h, C) cases with sane factory cost.
+    """Randomised (oracle, x, v, t, C, log H, alpha) cases with sane factory
+    cost.
 
     Half the cases are Gaussians (Lipschitz envelope), half 3-component
     mixtures (bounded-denoiser envelope).  Cases whose H e^C exceeds 50 are
@@ -95,14 +103,16 @@ def _exactness_cases(rng: np.random.Generator, count: int):
             spec = BoundSpec("lipschitz")
         h = float(rng.uniform(0.05, 0.4))
         x_tilde = x + rng.uniform(-0.25, 0.25, size=2)
-        prop = make_proposal(x, x_tilde, oracle, t=t, h=h)
-        c = bound_C(prop, spec, edm, oracle)
+        X, Xt, S, St = _pair_rows(x, x_tilde, oracle, t)
+        V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
+        c = float(engine.bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec, edm,
+                                       oracle)[0])
         log_ratio = float(oracle.log_density(x_tilde, t) - oracle.log_density(x, t))
-        lh = log_H(prop)
+        lh = float(logH[0])
         if lh + c > np.log(50.0):
             continue
         alpha = float(np.exp(lh + log_ratio) / (1.0 + np.exp(lh + log_ratio)))
-        cases.append((oracle, prop, c, alpha))
+        cases.append((oracle, X[0], V[0], t, c, lh, alpha))
     return cases
 
 
@@ -114,8 +124,8 @@ def suite_two_coin_exactness(seed: int = 1, n_configs: int = 6,
     worst = 0.0
     rows = []
     ok = True
-    for oracle, prop, c, alpha in cases:
-        rep = two_coin_replicates(prop, oracle, c, rng, n)
+    for oracle, x, v, t, c, lh, alpha in cases:
+        rep = two_coin_replicates(x, v, c, t, lh, oracle, rng, n)
         freq = float(rep["accept"].mean())
         stderr = float(np.sqrt(alpha * (1.0 - alpha) / n))
         z = abs(freq - alpha) / stderr
@@ -131,9 +141,11 @@ def suite_prop2_queries(seed: int = 2, n: int = 200_000,
                         tolerance: float = 0.02) -> dict:
     """Mean rounds and score queries of the loop vs their closed forms."""
     rng = np.random.default_rng(seed)
-    oracle, prop = unit_h_fixture_proposal()
+    oracle, (X, Xt, S, St) = unit_h_fixture_proposal()
     c, h_ratio, r = 1.0, 1.0, GAUSSIAN_FIXTURE_R
-    rep = two_coin_replicates(prop, oracle, c, rng, n)
+    V = Xt - X
+    log_h = engine.log_h_batch(V, S, St, 0.5)[0]
+    rep = two_coin_replicates(X[0], V[0], c, 1.0, log_h, oracle, rng, n)
     mean_rounds = float(rep["rounds"].mean())
     mean_queries = float(rep["score_queries"]) / n
     want_rounds = float(expected_rounds(c, h_ratio, r))
@@ -279,8 +291,10 @@ def suite_line_integral_identity(seed: int = 5, pairs_per_target: int = 20,
         for _ in range(pairs_per_target):
             x = rng.uniform(-spread, spread, size=dim)
             x_tilde = x + rng.uniform(-0.8, 0.8, size=dim)
-            prop = make_proposal(x, x_tilde, oracle, t=t, h=0.1)
-            approx = quadrature_log_ratio(prop, oracle, rule)
+            X, Xt, S, St = _pair_rows(x, x_tilde, oracle, t)
+            V, f0, f1, _ = engine._endpoint_terms(X, Xt, S, St, 0.1)
+            approx = float(engine._quadrature_log_ratio_batch(
+                X, V, f0, f1, t, rule, oracle)[0])
             exact = float(oracle.log_density(x_tilde, t) -
                           oracle.log_density(x, t))
             target_worst = max(target_worst, abs(approx - exact))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,12 +7,11 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from madm import engine
-from madm.adjust_exact import (BoundSpec, bound_C, expected_queries,
-                               expected_rounds, poisson_w_replicates,
-                               two_coin_replicates)
+from madm.adjust_exact import (expected_queries, expected_rounds,
+                               poisson_w_replicates, two_coin_replicates)
+from madm.engine import BoundSpec
 from madm.errors import (BoundViolationError, ConfigError, DomainError,
                          NonFiniteError, NonterminationError)
-from madm.proposal import LangevinProposal, log_H, make_proposal
 from madm.schedule import NoiseSchedule
 from madm.targets import (Dataset2D, ScoreOracle, diffused_empirical_oracle,
                           gaussian_oracle, quartic_oracle)
@@ -18,30 +19,54 @@ from madm.targets import (Dataset2D, ScoreOracle, diffused_empirical_oracle,
 R_FIXTURE = float(np.exp(-0.5))  # density ratio of x=0 -> x=1 under N(0,1)
 
 
+def one_row(x, x_tilde, oracle, t, h, scores=None):
+    """The proposal x -> x_tilde as the one-row arrays the engine kernels
+    take, with the oracle's endpoint scores unless ``scores`` are given."""
+    X = np.array([x], dtype=float)
+    Xt = np.array([x_tilde], dtype=float)
+    S, St = (oracle.score(X, t), oracle.score(Xt, t)) if scores is None else scores
+    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
+    return SimpleNamespace(X=X, Xt=Xt, S=S, St=St, V=V, f0=f0, f1=f1, t=t,
+                           x=X[0], v=V[0], log_h=float(logH[0]))
+
+
+def bound_c(p, spec, schedule, oracle):
+    """The envelope C of the one-row proposal ``p``."""
+    return float(engine.bound_c_batch(p.X, p.Xt, p.S, p.St, p.V, p.f0, p.f1,
+                                      p.t, spec, schedule, oracle)[0])
+
+
 def fixture_proposal(h=0.5):
     oracle = gaussian_oracle(0.0, 1.0)
-    return oracle, make_proposal(np.array([0.0]), np.array([1.0]), oracle,
-                                 t=1.0, h=h)
+    return oracle, one_row([0.0], [1.0], oracle, t=1.0, h=h)
+
+
+def unit_h_proposal():
+    # the fixture pair with zeroed endpoint scores, which pins H = 1; the
+    # factory integrand still queries the true score, so r stays e^{-1/2}
+    oracle = gaussian_oracle(0.0, 1.0)
+    zero = np.zeros((1, 1))
+    return oracle, one_row([0.0], [1.0], oracle, t=1.0, h=0.5,
+                           scores=(zero, zero))
 
 
 def null_move_proposal():
     oracle = gaussian_oracle(0.0, 1.0)
-    x = np.array([0.4])
-    return oracle, make_proposal(x, x.copy(), oracle, t=1.0, h=0.3)
+    return oracle, one_row([0.4], [0.4], oracle, t=1.0, h=0.3)
 
 
-# -- bound_C -------------------------------------------------------------------
+# -- the envelope C on one row -------------------------------------------------
 
 def test_bound_c_zero_for_null_move():
     oracle, p = null_move_proposal()
     edm = NoiseSchedule.edm()
-    assert bound_C(p, BoundSpec("lipschitz"), edm, oracle) == 0.0
-    assert bound_C(p, BoundSpec("bounded-denoiser"), edm, oracle) == 0.0
+    assert bound_c(p, BoundSpec("lipschitz"), edm, oracle) == 0.0
+    assert bound_c(p, BoundSpec("bounded-denoiser"), edm, oracle) == 0.0
 
 
 def test_bound_c_lipschitz_gaussian_value():
     oracle, p = fixture_proposal()
-    c = bound_C(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
+    c = bound_c(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
     # max(|s(0)|, |s(1)|) * 1 + (1/2) * 1^2
     assert c == pytest.approx(1.5, rel=1e-12)
 
@@ -50,29 +75,29 @@ def test_bound_c_bounded_denoiser_single_point_dataset():
     data = Dataset2D(points=np.zeros((1, 2)), name="origin")
     sched = NoiseSchedule.edm()
     oracle = diffused_empirical_oracle(data, sched, 1.0)
-    p = make_proposal(np.zeros(2), np.array([1.0, 0.0]), oracle, t=1.0, h=0.3)
-    c = bound_C(p, BoundSpec("bounded-denoiser"), sched, oracle)
+    p = one_row([0.0, 0.0], [1.0, 0.0], oracle, t=1.0, h=0.3)
+    c = bound_c(p, BoundSpec("bounded-denoiser"), sched, oracle)
     # b = 0, r = 1, sigma = 1: C = max(||x||, ||x_tilde||) * ||v||
     assert c == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bound_c_missing_capability_is_config_error():
     oracle = quartic_oracle()
-    p = make_proposal(np.array([0.0]), np.array([0.5]), oracle, t=1.0, h=0.3)
+    p = one_row([0.0], [0.5], oracle, t=1.0, h=0.3)
     with pytest.raises(ConfigError):
-        bound_C(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
+        bound_c(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
     with pytest.raises(ConfigError):
-        bound_C(p, BoundSpec("bounded-denoiser"), NoiseSchedule.edm(), oracle)
+        bound_c(p, BoundSpec("bounded-denoiser"), NoiseSchedule.edm(), oracle)
 
 
 def test_bound_c_lipschitz_sharp_tight_on_affine_integrand():
     oracle, p = fixture_proposal()
-    sharp = bound_C(p, BoundSpec("lipschitz-sharp"), NoiseSchedule.edm(),
+    sharp = bound_c(p, BoundSpec("lipschitz-sharp"), NoiseSchedule.edm(),
                     oracle)
     # (|f0| + |f1| + L ||v||^2) / 2 = (0 + 1 + 1) / 2; affine integrand makes
     # this exactly the segment supremum
     assert sharp == pytest.approx(1.0, rel=1e-12)
-    plain = bound_C(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
+    plain = bound_c(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
     assert sharp <= plain
 
 
@@ -82,8 +107,8 @@ def test_bound_c_lipschitz_sharp_dominates_the_integrand():
     for _ in range(25):
         x = rng.uniform(-2, 2, size=2)
         xt = x + rng.uniform(-1, 1, size=2)
-        p = make_proposal(x, xt, oracle, t=1.0, h=0.3)
-        c = bound_C(p, BoundSpec("lipschitz-sharp"), NoiseSchedule.edm(),
+        p = one_row(x, xt, oracle, t=1.0, h=0.3)
+        c = bound_c(p, BoundSpec("lipschitz-sharp"), NoiseSchedule.edm(),
                     oracle)
         u = np.linspace(0, 1, 101)[:, None]
         pts = x[None, :] + u * (xt - x)[None, :]
@@ -94,8 +119,8 @@ def test_bound_c_lipschitz_sharp_dominates_the_integrand():
 def test_bound_c_manual_endpoint_violation():
     oracle, p = fixture_proposal()
     with pytest.raises(BoundViolationError):
-        bound_C(p, BoundSpec("manual", 0.5), NoiseSchedule.edm(), oracle)
-    assert bound_C(p, BoundSpec("manual", 1.0), NoiseSchedule.edm(),
+        bound_c(p, BoundSpec("manual", 0.5), NoiseSchedule.edm(), oracle)
+    assert bound_c(p, BoundSpec("manual", 1.0), NoiseSchedule.edm(),
                    oracle) == 1.0
 
 
@@ -103,13 +128,15 @@ def test_bound_c_manual_endpoint_violation():
 
 def test_w_is_one_for_zero_bound():
     oracle, p = fixture_proposal()
-    w = poisson_w_replicates(p, oracle, 0.0, np.random.default_rng(0), 1)
+    w = poisson_w_replicates(p.x, p.v, 0.0, p.t, oracle,
+                             np.random.default_rng(0), 1)
     np.testing.assert_array_equal(w, [1.0])
 
 
 def test_w_for_null_move_is_half_power_poisson():
     oracle, p = null_move_proposal()
-    w = poisson_w_replicates(p, oracle, 2.0, np.random.default_rng(1), 20)
+    w = poisson_w_replicates(p.x, p.v, 2.0, p.t, oracle,
+                             np.random.default_rng(1), 20)
     # every factor is exactly 1/2, so W = 2^{-N}
     assert np.all(w > 0)
     np.testing.assert_allclose(w, 0.5 ** np.round(-np.log2(w)), rtol=1e-12)
@@ -120,7 +147,8 @@ def test_w_for_null_move_is_half_power_poisson():
 def test_w_always_in_unit_interval(c_extra, seed):
     oracle, p = fixture_proposal()
     c = 1.0 + c_extra  # keeps Assumption-1 validity: sup |f| = 1
-    w = poisson_w_replicates(p, oracle, c, np.random.default_rng(seed), 1)
+    w = poisson_w_replicates(p.x, p.v, c, p.t, oracle,
+                             np.random.default_rng(seed), 1)
     assert 0.0 <= w[0] <= 1.0
 
 
@@ -128,7 +156,7 @@ def test_w_mean_matches_density_ratio():
     oracle, p = fixture_proposal()
     rng = np.random.default_rng(2)
     n = 60_000
-    w = poisson_w_replicates(p, oracle, 1.0, rng, n)
+    w = poisson_w_replicates(p.x, p.v, 1.0, p.t, oracle, rng, n)
     est = np.exp(1.0) * w.mean()
     se = np.exp(1.0) * w.std(ddof=1) / np.sqrt(n)
     assert abs(est - R_FIXTURE) < 4.0 * se
@@ -141,11 +169,11 @@ def test_w_bound_violation_detected_on_interior_bump():
     data = Dataset2D(points=np.array([[-2.0, 0.0], [2.0, 0.0]]), name="pair")
     sched = NoiseSchedule.edm()
     oracle = diffused_empirical_oracle(data, sched, 0.5)
-    p = make_proposal(np.array([-2.0, 0.0]), np.array([2.0, 0.0]), oracle,
-                      t=0.5, h=0.3)
-    c = bound_C(p, BoundSpec("manual", 0.05), sched, oracle)
+    p = one_row([-2.0, 0.0], [2.0, 0.0], oracle, t=0.5, h=0.3)
+    c = bound_c(p, BoundSpec("manual", 0.05), sched, oracle)
     with pytest.raises(BoundViolationError):
-        poisson_w_replicates(p, oracle, c, np.random.default_rng(4), 400)
+        poisson_w_replicates(p.x, p.v, c, p.t, oracle,
+                             np.random.default_rng(4), 400)
 
 
 # -- two-coin decision ------------------------------------------------------------
@@ -157,7 +185,8 @@ def test_alpha_prime_limit_never_rejects():
 
 def test_null_move_decides_round_one_at_half():
     oracle, p = null_move_proposal()
-    rep = two_coin_replicates(p, oracle, 0.0, np.random.default_rng(5), 4000)
+    rep = two_coin_replicates(p.x, p.v, 0.0, p.t, p.log_h, oracle,
+                              np.random.default_rng(5), 4000)
     assert np.all(rep["rounds"] == 1)
     freq = rep["accept"].mean()
     assert abs(freq - 0.5) < 4.0 * np.sqrt(0.25 / 4000)
@@ -166,11 +195,12 @@ def test_null_move_decides_round_one_at_half():
 def test_two_coin_acceptance_matches_barker_probability():
     oracle, p = fixture_proposal()
     rng = np.random.default_rng(6)
-    c = bound_C(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
+    c = bound_c(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
     assert c == pytest.approx(1.5)
-    alpha = expit(log_H(p) + np.log(R_FIXTURE))
+    alpha = expit(p.log_h + np.log(R_FIXTURE))
     n = 20_000
-    hits = two_coin_replicates(p, oracle, c, rng, n)["accept"].sum()
+    hits = two_coin_replicates(p.x, p.v, c, p.t, p.log_h, oracle, rng,
+                               n)["accept"].sum()
     se = np.sqrt(alpha * (1 - alpha) / n)
     assert abs(hits / n - alpha) < 4.0 * se
 
@@ -178,8 +208,8 @@ def test_two_coin_acceptance_matches_barker_probability():
 def test_two_coin_swap_direction_preserves_the_law():
     oracle, p = fixture_proposal()
     n = 20_000
-    X, Xt, S, St = (np.broadcast_to(a, (n, 1)) for a in p.as_rows())
-    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, p.h)
+    X, Xt, S, St = (np.broadcast_to(a, (n, 1)) for a in (p.X, p.Xt, p.S, p.St))
+    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, 0.5)
     # the sweep's own rule picks the reversed direction on this fixture:
     # log H = 0.4375 > (f(0) + f(1)) / 2 = -0.5
     swap = engine._swap_rows(f0, f1, logH)
@@ -188,21 +218,18 @@ def test_two_coin_swap_direction_preserves_the_law():
         *engine._decision_frame(X, Xt, V, logH, swap), np.full(n, 1.5), p.t,
         oracle, np.random.default_rng(7), engine.DEFAULT_MAX_ROUNDS)
     accept = frame_accept ^ swap
-    alpha = expit(log_H(p) + np.log(R_FIXTURE))
+    alpha = expit(p.log_h + np.log(R_FIXTURE))
     hits = accept.sum()
     se = np.sqrt(alpha * (1 - alpha) / n)
     assert abs(hits / n - alpha) < 4.0 * se
 
 
 def test_two_coin_rounds_law_on_unit_h_fixture():
-    # pin H = 1 by zeroing the cached endpoint scores; the factory integrand
-    # still queries the true score, so r stays e^{-1/2}
-    oracle = gaussian_oracle(0.0, 1.0)
-    p = LangevinProposal(x=np.array([0.0]), x_tilde=np.array([1.0]), h=0.5,
-                         t=1.0, score_x=np.zeros(1), score_x_tilde=np.zeros(1))
+    oracle, p = unit_h_proposal()
+    assert p.log_h == 0.0
     rng = np.random.default_rng(8)
     n = 30_000
-    rep = two_coin_replicates(p, oracle, 1.0, rng, n)
+    rep = two_coin_replicates(p.x, p.v, 1.0, p.t, p.log_h, oracle, rng, n)
     want = expected_rounds(1.0, 1.0, R_FIXTURE)
     rounds = rep["rounds"]
     se = rounds.std(ddof=1) / np.sqrt(n)
@@ -214,7 +241,8 @@ def test_two_coin_rounds_law_on_unit_h_fixture():
 def test_two_coin_records_cost_fields():
     oracle, p = fixture_proposal()
     before = oracle.queries
-    rep = two_coin_replicates(p, oracle, 1.5, np.random.default_rng(9), 1)
+    rep = two_coin_replicates(p.x, p.v, 1.5, p.t, p.log_h, oracle,
+                              np.random.default_rng(9), 1)
     assert rep["accept"].dtype == bool
     assert rep["rounds"][0] >= 1
     assert rep["poisson_total"][0] >= 0
@@ -223,12 +251,10 @@ def test_two_coin_records_cost_fields():
 
 
 def test_two_coin_nontermination_carries_diagnostics():
-    oracle = gaussian_oracle(0.0, 1.0)
-    p = LangevinProposal(x=np.array([0.0]), x_tilde=np.array([1.0]), h=0.5,
-                         t=1.0, score_x=np.zeros(1), score_x_tilde=np.zeros(1))
+    oracle, p = unit_h_proposal()
     with pytest.raises(NonterminationError) as excinfo:
-        two_coin_replicates(p, oracle, 30.0, np.random.default_rng(10), 1,
-                            max_rounds=25)
+        two_coin_replicates(p.x, p.v, 30.0, p.t, p.log_h, oracle,
+                            np.random.default_rng(10), 1, max_rounds=25)
     err = excinfo.value
     assert err.rounds == 25
     assert err.c_bound == 30.0
@@ -245,32 +271,34 @@ def _nan_interior_proposal():
         return np.full_like(x, np.nan) if calls["n"] > 2 else -x
 
     oracle = ScoreOracle(dim=1, score_fn=score)
-    return oracle, make_proposal(np.array([0.0]), np.array([1.0]), oracle,
-                                 t=1.0, h=0.5)
+    return oracle, one_row([0.0], [1.0], oracle, t=1.0, h=0.5)
 
 
 def test_two_coin_decision_rejects_nonfinite_interior_score():
     oracle, p = _nan_interior_proposal()
     # with C = 30 the first coin (1 + H e^C)^{-1} essentially never rejects
     with pytest.raises(NonFiniteError, match="interior score at chain 0"):
-        two_coin_replicates(p, oracle, 30.0, np.random.default_rng(13), 1)
+        two_coin_replicates(p.x, p.v, 30.0, p.t, p.log_h, oracle,
+                            np.random.default_rng(13), 1)
 
 
 def test_two_coin_replicates_reject_nonfinite_interior_score():
     oracle, p = _nan_interior_proposal()
     with pytest.raises(NonFiniteError, match="interior score at chain"):
-        two_coin_replicates(p, oracle, 1.5, np.random.default_rng(14), 500)
+        two_coin_replicates(p.x, p.v, 1.5, p.t, p.log_h, oracle,
+                            np.random.default_rng(14), 500)
 
 
 def test_replicates_do_not_depend_on_the_factor_block(monkeypatch):
     oracle = gaussian_oracle(np.array([0.3, -0.1]), 1.7)
-    p = make_proposal(np.array([0.5, 1.0]), np.array([0.2, 0.6]), oracle,
-                      t=1.0, h=0.3)
-    c = bound_C(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
+    p = one_row([0.5, 1.0], [0.2, 0.6], oracle, t=1.0, h=0.3)
+    c = bound_c(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
 
     def run():
-        rep = two_coin_replicates(p, oracle, c, np.random.default_rng(15), 3000)
-        w = poisson_w_replicates(p, oracle, c, np.random.default_rng(16), 3000)
+        rep = two_coin_replicates(p.x, p.v, c, p.t, p.log_h, oracle,
+                                  np.random.default_rng(15), 3000)
+        w = poisson_w_replicates(p.x, p.v, c, p.t, oracle,
+                                 np.random.default_rng(16), 3000)
         return rep, w
 
     rep, w = run()
@@ -280,6 +308,29 @@ def test_replicates_do_not_depend_on_the_factor_block(monkeypatch):
         np.testing.assert_array_equal(rep7[key], rep[key])
     assert rep7["score_queries"] == rep["score_queries"]
     np.testing.assert_array_equal(w7, w)
+
+
+def _replicates(sampler, oracle, x, v, C):
+    rng = np.random.default_rng(17)
+    if sampler == "two-coin":
+        return two_coin_replicates(x, v, C, 1.0, 0.0, oracle, rng, 10)
+    return poisson_w_replicates(x, v, C, 1.0, oracle, rng, 10)
+
+
+@pytest.mark.parametrize("sampler", ["two-coin", "w"])
+@pytest.mark.parametrize("C", [np.nan, np.inf])
+def test_replicates_reject_a_non_finite_envelope(sampler, C):
+    oracle, p = fixture_proposal()
+    with pytest.raises(DomainError, match="finite"):
+        _replicates(sampler, oracle, p.x, p.v, C)
+
+
+@pytest.mark.parametrize("sampler", ["two-coin", "w"])
+def test_replicates_need_aligned_1d_rows(sampler):
+    oracle, p = fixture_proposal()
+    for x, v in ((p.X, p.V), (p.x, np.zeros(2))):
+        with pytest.raises(DomainError, match="aligned 1-D"):
+            _replicates(sampler, oracle, x, v, 1.5)
 
 
 # -- closed-form cost ------------------------------------------------------------
@@ -303,10 +354,13 @@ def test_expected_rounds_fixture_value():
 
 
 @pytest.mark.parametrize("bad", [(-1.0, 1.0, 1.0), (1.0, 0.0, 1.0),
-                                 (1.0, 1.0, -0.5)])
+                                 (1.0, 1.0, -0.5), (np.nan, 1.0, 1.0),
+                                 (np.inf, 1.0, 1.0)])
 def test_cost_argument_domains(bad):
     with pytest.raises(DomainError):
         expected_queries(*bad)
+    with pytest.raises(DomainError):
+        expected_rounds(*bad)
 
 
 # -- BoundSpec invariants ----------------------------------------------------------

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,20 +7,33 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from madm import engine
-from madm.adjust_quadrature import (composite, quadrature_log_ratio,
-                                    rule_by_name, simpson13, simpson38,
-                                    trapezoid)
+from madm.adjust_quadrature import (composite, rule_by_name, simpson13,
+                                    simpson38, trapezoid)
 from madm.errors import ConfigError, DomainError, NonFiniteError
-from madm.proposal import log_H, make_proposal
 from madm.targets import ScoreOracle, gaussian_oracle, quartic_oracle
 
 R_FIXTURE = float(np.exp(-0.5))
 
 
+def one_row(x, x_tilde, oracle, t, h):
+    """The proposal x -> x_tilde as the one-row arrays the engine kernels
+    take: x, the endpoint terms (v, f(0), f(1), log H) and the level t."""
+    X = np.array([x], dtype=float)
+    Xt = np.array([x_tilde], dtype=float)
+    V, f0, f1, logH = engine._endpoint_terms(
+        X, Xt, oracle.score(X, t), oracle.score(Xt, t), h)
+    return SimpleNamespace(X=X, V=V, f0=f0, f1=f1, logH=logH, t=t)
+
+
+def log_ratio(p, oracle, rule):
+    """The Newton-Cotes estimate of log r for the one-row proposal ``p``."""
+    return float(engine._quadrature_log_ratio_batch(p.X, p.V, p.f0, p.f1, p.t,
+                                                    rule, oracle)[0])
+
+
 def fixture(h=0.5):
     oracle = gaussian_oracle(0.0, 1.0)
-    return oracle, make_proposal(np.array([0.0]), np.array([1.0]), oracle,
-                                 t=1.0, h=h)
+    return oracle, one_row([0.0], [1.0], oracle, t=1.0, h=h)
 
 
 # -- rules ---------------------------------------------------------------------
@@ -71,34 +86,30 @@ def test_rule_rejects_uneven_nodes():
 
 def test_log_ratio_zero_for_null_move():
     oracle = gaussian_oracle(0.0, 1.0)
-    x = np.array([0.7])
-    p = make_proposal(x, x.copy(), oracle, t=1.0, h=0.2)
+    p = one_row([0.7], [0.7], oracle, t=1.0, h=0.2)
     for rule in (trapezoid(), simpson13(), simpson38(), composite(7)):
-        assert quadrature_log_ratio(p, oracle, rule) == 0.0
+        assert log_ratio(p, oracle, rule) == 0.0
 
 
 def test_trapezoid_exact_on_gaussian():
     oracle, p = fixture()
-    est = quadrature_log_ratio(p, oracle, trapezoid())
+    est = log_ratio(p, oracle, trapezoid())
     assert est == pytest.approx(np.log(R_FIXTURE), rel=1e-12)
 
 
 def test_simpson_exact_on_cubic_integrand():
     oracle = quartic_oracle(1.0)
-    p = make_proposal(np.array([0.0]), np.array([1.0]), oracle, t=1.0, h=0.2)
-    assert quadrature_log_ratio(p, oracle, simpson13()) == pytest.approx(
-        -0.25, rel=1e-12)
-    assert quadrature_log_ratio(p, oracle, simpson38()) == pytest.approx(
-        -0.25, rel=1e-12)
+    p = one_row([0.0], [1.0], oracle, t=1.0, h=0.2)
+    assert log_ratio(p, oracle, simpson13()) == pytest.approx(-0.25, rel=1e-12)
+    assert log_ratio(p, oracle, simpson38()) == pytest.approx(-0.25, rel=1e-12)
 
 
 def test_query_accounting_per_rule():
     oracle = gaussian_oracle(0.0, 1.0)
     for rule, extra in ((trapezoid(), 0), (simpson13(), 1), (simpson38(), 2)):
-        p = make_proposal(np.array([0.0]), np.array([1.0]), oracle, t=1.0,
-                          h=0.2)
+        p = one_row([0.0], [1.0], oracle, t=1.0, h=0.2)
         before = oracle.queries
-        quadrature_log_ratio(p, oracle, rule)
+        log_ratio(p, oracle, rule)
         assert oracle.queries - before == extra
 
 
@@ -107,17 +118,16 @@ def test_query_accounting_per_rule():
 def broadcast_rows(p, n):
     """(x, v, f(0), f(1), log H) of the fixed proposal as n broadcast rows,
     the inputs of the engine's decision kernels."""
-    X, Xt, S, St = p.as_rows()
-    terms = (X, *engine._endpoint_terms(X, Xt, S, St, p.h))
+    terms = (p.X, p.V, p.f0, p.f1, p.logH)
     return tuple(np.broadcast_to(a, (n,) + a.shape[1:]) for a in terms)
 
 
 def test_quadrature_mh_always_accepts_on_nonnegative_log_alpha():
     # moving downhill-to-uphill in reverse: pick x_tilde with higher density
     oracle = gaussian_oracle(0.0, 1.0)
-    p = make_proposal(np.array([2.0]), np.array([0.1]), oracle, t=1.0, h=0.5)
-    assert np.log(np.exp(quadrature_log_ratio(p, oracle, simpson13())) *
-                  np.exp(log_H(p))) >= 0
+    p = one_row([2.0], [0.1], oracle, t=1.0, h=0.5)
+    assert np.log(np.exp(log_ratio(p, oracle, simpson13())) *
+                  np.exp(p.logH[0])) >= 0
     accept = engine._quadrature_accept(*broadcast_rows(p, 50), p.t,
                                        simpson13(), oracle,
                                        np.random.default_rng(0))
@@ -129,11 +139,9 @@ def test_quadrature_mh_bernoulli_half():
     # it equals log(1/2) exactly, and Simpson reproduces it exactly
     oracle = gaussian_oracle(0.0, 1.0)
     h = 0.5
-    x = np.array([0.0])
-    xt = np.array([np.sqrt(16.0 * np.log(2.0))])
-    p = make_proposal(x, xt, oracle, t=0.0, h=h)
-    i_hat = quadrature_log_ratio(p, oracle, simpson13())
-    assert i_hat + log_H(p) == pytest.approx(np.log(0.5), rel=1e-12)
+    p = one_row([0.0], [np.sqrt(16.0 * np.log(2.0))], oracle, t=0.0, h=h)
+    i_hat = log_ratio(p, oracle, simpson13())
+    assert i_hat + p.logH[0] == pytest.approx(np.log(0.5), rel=1e-12)
     n = 40_000
     hits = engine._quadrature_accept(*broadcast_rows(p, n), p.t, simpson13(),
                                      oracle, np.random.default_rng(1)).sum()
@@ -167,7 +175,7 @@ def test_quadrature_mh_propagates_nonfinite_estimate():
         return np.zeros_like(x)
 
     oracle = ScoreOracle(dim=1, score_fn=flaky)
-    p = make_proposal(np.array([0.0]), np.array([1.0]), oracle, t=0.0, h=0.5)
+    p = one_row([0.0], [1.0], oracle, t=0.0, h=0.5)
     with pytest.raises(NonFiniteError):
         engine._quadrature_accept(*broadcast_rows(p, 1), p.t, simpson13(),
                                   oracle, np.random.default_rng(3))
@@ -217,8 +225,7 @@ def test_hybrid_k_zero_equals_quadrature_distribution():
 
 def test_hybrid_never_falls_back_on_sure_accept():
     oracle = gaussian_oracle(0.0, 1.0)
-    x = np.array([0.4])
-    p = make_proposal(x, x.copy(), oracle, t=1.0, h=0.3)  # H = 1, C = 0
+    p = one_row([0.4], [0.4], oracle, t=1.0, h=0.3)  # H = 1, C = 0
     _, rounds, _, fallback = _hybrid(p, oracle, 0.0, 10,
                                      np.random.default_rng(8), 200)
     assert np.all(rounds == 1)
@@ -227,7 +234,7 @@ def test_hybrid_never_falls_back_on_sure_accept():
 
 def test_hybrid_large_k_converges_to_barker():
     oracle, p = fixture()
-    alpha = expit(log_H(p) + np.log(R_FIXTURE))
+    alpha = expit(p.logH[0] + np.log(R_FIXTURE))
     n = 20_000
     accept, _, _, _ = _hybrid(p, oracle, 1.5, 10_000, np.random.default_rng(9),
                               n)

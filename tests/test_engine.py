@@ -3,8 +3,8 @@ import pytest
 from scipy.special import expit
 
 from madm import engine
-from madm.adjust_exact import BoundSpec
 from madm.adjust_quadrature import simpson13
+from madm.engine import BoundSpec
 from madm.errors import (BoundViolationError, ConfigError, DomainError,
                          NonFiniteError, NonterminationError)
 from madm.schedule import NoiseSchedule
@@ -21,11 +21,13 @@ def test_bound_c_batch_matches_closed_forms():
     Xt = X + rng.uniform(-0.5, 0.5, size=(16, 2))
     S = oracle.score(X, 1.0)
     St = oracle.score(Xt, 1.0)
+    V, f0, f1, _ = engine._endpoint_terms(X, Xt, S, St, 0.3)
     r, sigma = sched.marginal_params(1.0)
     norm = np.linalg.norm
     for spec in (BoundSpec("lipschitz"), BoundSpec("bounded-denoiser"),
                  BoundSpec("manual", 50.0)):
-        batch = engine.bound_c_batch(X, Xt, S, St, 1.0, spec, sched, oracle)
+        batch = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0, spec, sched,
+                                     oracle)
         for i in range(16):
             x, xt = X[i], Xt[i]
             v = norm(xt - x)
@@ -48,7 +50,7 @@ def test_log_h_batch_matches_closed_form():
     S = oracle.score(X, 1.0)
     St = oracle.score(Xt, 1.0)
     h = 0.25
-    batch = engine.log_h_batch(X, Xt, S, St, h)
+    batch = engine.log_h_batch(Xt - X, S, St, h)
     for i in range(8):
         x, xt = float(X[i, 0]), float(Xt[i, 0])
         fwd = xt - x - 0.5 * h * (-x)
@@ -187,14 +189,11 @@ def test_hybrid_bound_violation_names_the_chain():
     X = np.array([[6.0, 0.0]] * 3 + [[-2.0, 0.0]])
     Xt = np.array([[6.5, 0.0]] * 3 + [[2.0, 0.0]])
     S, St = oracle.score(X, 0.5), oracle.score(Xt, 0.5)
-    V = Xt - X
-    C = engine.bound_c_batch(X, Xt, S, St, 0.5, BoundSpec("lipschitz", 0.1),
-                             sched, oracle)
+    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, 0.3)
+    C = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 0.5,
+                             BoundSpec("lipschitz", 0.1), sched, oracle)
     assert C[:3] == pytest.approx(9.01, abs=0.01)
     assert C[3] == pytest.approx(0.8, rel=1e-9)
-    f0 = np.einsum("ij,ij->i", S, V)
-    f1 = np.einsum("ij,ij->i", St, V)
-    logH = engine.log_h_batch(X, Xt, S, St, 0.3)
     with pytest.raises(BoundViolationError, match="at chain 3$"):
         engine._hybrid_accept(X, V, f0, f1, logH, C, 0.5, simpson13(), oracle,
                               np.random.default_rng(0), 10,
@@ -314,7 +313,8 @@ def test_one_two_coin_step_is_the_lockstep_sweep():
     Xt = X + 0.5 * h * S + np.sqrt(h) * rng.standard_normal(X.shape)
     St = oracle.score(Xt, 1.0)
     V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
-    C = engine.bound_c_batch(X, Xt, S, St, 1.0, spec, sched, oracle)
+    C = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0, spec, sched,
+                             oracle)
     swap = engine._swap_rows(f0, f1, logH)
     frame_accept, rounds, poisson, _ = engine._two_coin_rounds(
         *engine._decision_frame(X, Xt, V, logH, swap), C, 1.0, oracle, rng,
@@ -430,14 +430,69 @@ def test_two_coin_steps_name_the_chain_of_an_endpoint_bound_violation():
     assert (info.value.chain, info.value.sweep) == (0, 0)
 
 
-def test_sweep_steps_run_only_for_two_coin():
+SWEEP_KINDS = [k for k in engine.CORRECTOR_KINDS if k != "none"]
+LOCKSTEP_KINDS = [k for k in SWEEP_KINDS if k != "two-coin"]
+
+
+def _sweep(X, S, oracle, kind, rng, **kw):
+    return engine.corrector_sweep(X, S, oracle, 1.0, 0.4, kind, rng,
+                                  schedule=NoiseSchedule.edm(),
+                                  bound=BoundSpec("lipschitz"),
+                                  rule=simpson13(), **kw)
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+def test_sweep_rejects_fewer_than_one_step(kind):
     oracle = gaussian_oracle(0.0, 1.0)
+    rng = np.random.default_rng(0)
     X = np.zeros((4, 1))
+    queries, state = oracle.queries, rng.bit_generator.state
     with pytest.raises(ConfigError, match="steps"):
-        engine.corrector_sweep(X, X, oracle, 1.0, 0.1, "ula",
-                               np.random.default_rng(0), steps=2)
-    with pytest.raises(ConfigError, match="steps"):
-        _two_coin_sweep(X, oracle, np.random.default_rng(0), steps=0)
+        _sweep(X, X, oracle, kind, rng, steps=0)
+    assert oracle.queries == queries
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("kind", LOCKSTEP_KINDS)
+def test_lockstep_steps_in_one_call_are_one_step_calls(kind):
+    # K lockstep steps in one call: the same samples, stats and generator
+    # state as K one-step calls, and on_step sees every chain at each step
+    oracle, k = gaussian_oracle(0.0, 1.0), 4
+    X0 = np.random.default_rng(29).standard_normal((500, 1))
+    S0 = oracle.score(X0, 1.0)
+    rng_one, rng_each = np.random.default_rng(30), np.random.default_rng(30)
+    seen = []
+
+    def on_step(rows, steps, X_rows):
+        seen.append((rows.copy(), steps.copy(), X_rows.copy()))
+
+    X, S, stats = _sweep(X0, S0, oracle, kind, rng_one, steps=k,
+                         on_step=on_step)
+    Xe, Se, each = X0, S0, engine.SweepStats()
+    for step in range(k):
+        Xe, Se, st = _sweep(Xe, Se, oracle, kind, rng_each)
+        each.merge(st)
+        rows, steps, X_rows = seen[step]
+        np.testing.assert_array_equal(rows, np.arange(500))
+        np.testing.assert_array_equal(steps, np.full(500, step))
+        np.testing.assert_array_equal(X_rows, Xe)
+    assert len(seen) == k
+    np.testing.assert_array_equal(X, Xe)
+    np.testing.assert_array_equal(S, Se)
+    assert stats == each
+    assert stats.proposals == 500 * k
+    assert rng_one.bit_generator.state == rng_each.bit_generator.state
+
+
+def test_lockstep_steps_name_the_step_of_an_error():
+    # the score turns NaN from its third call: the caller's cached scores
+    # and step 0's endpoints are finite, step 1's endpoints are not
+    oracle = _nan_after_two_calls()
+    X = np.zeros((3, 1))
+    with pytest.raises(NonFiniteError, match="chain 0") as info:
+        _sweep(X, oracle.score(X, 1.0), oracle, "ula",
+               np.random.default_rng(31), steps=5)
+    assert info.value.sweep == 1
 
 
 def test_sweep_stats_merge_sums_passes_and_keeps_the_longest_decision():

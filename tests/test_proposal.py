@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from madm import engine
-from madm.errors import DomainError, NonFiniteError
-from madm.proposal import LangevinProposal, log_H, make_proposal
+from madm.errors import NonFiniteError
 from madm.targets import ScoreOracle, gaussian_oracle
 
 
@@ -63,13 +62,6 @@ def test_ula_counts_two_queries_and_caches_scores():
     np.testing.assert_allclose(Sn, -Xn)
 
 
-def test_ula_rejects_nonpositive_step():
-    zero = np.zeros(1)
-    with pytest.raises(DomainError):
-        LangevinProposal(x=zero, x_tilde=zero.copy(), h=0.0, t=0.0,
-                         score_x=zero.copy(), score_x_tilde=zero.copy())
-
-
 def test_ula_propagates_nonfinite_score_with_coordinate():
     def bad(x, t):
         s = -x.copy()
@@ -84,35 +76,39 @@ def test_ula_propagates_nonfinite_score_with_coordinate():
                                _rng())
 
 
-# -- log_H --------------------------------------------------------------------
+# -- log H ----------------------------------------------------------------------
+
+def log_h(x, x_tilde, s, s_tilde, h):
+    """log H of the proposal x -> x_tilde with endpoint scores s, s_tilde,
+    as :func:`madm.engine.log_h_batch` computes it on one row."""
+    rows = [np.array([a], dtype=float) for a in (x, x_tilde, s, s_tilde)]
+    return float(engine.log_h_batch(rows[1] - rows[0], rows[2], rows[3], h)[0])
+
 
 def test_log_h_zero_for_symmetric_random_walk():
-    zero = np.zeros(2)
-    p = LangevinProposal(x=np.array([0.3, -0.2]), x_tilde=np.array([1.0, 0.5]),
-                         h=0.4, t=0.0, score_x=zero, score_x_tilde=zero.copy())
-    assert log_H(p) == pytest.approx(0.0, abs=1e-15)
+    zero = [0.0, 0.0]
+    assert log_h([0.3, -0.2], [1.0, 0.5], zero, zero, 0.4) == pytest.approx(
+        0.0, abs=1e-15)
 
 
 def test_log_h_matches_normal_density_oracle():
     oracle = gaussian_oracle(0.0, 1.0)
     h = 0.5
-    p = make_proposal(np.array([0.0]), np.array([1.0]), oracle, t=0.0, h=h)
+    x, xt = np.array([0.0]), np.array([1.0])
+    lh = log_h(x, xt, oracle.score(x, 0.0), oracle.score(xt, 0.0), h)
 
     def log_q(to, frm):
         mean = frm - 0.5 * h * frm  # score of N(0,1) is -x
         return -0.5 * (to - mean) ** 2 / h - 0.5 * np.log(2 * np.pi * h)
 
     expected = log_q(0.0, 1.0) - log_q(1.0, 0.0)
-    assert log_H(p) == pytest.approx(float(expected), rel=1e-12)
-    assert log_H(p) == pytest.approx(0.4375, rel=1e-12)
+    assert lh == pytest.approx(float(expected), rel=1e-12)
+    assert lh == pytest.approx(0.4375, rel=1e-12)
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.01, 2.0),
        st.floats(-5, 5), st.floats(-5, 5))
 @settings(max_examples=60, deadline=None)
 def test_log_h_swap_antisymmetry(x, xt, h, sx, sxt):
-    p = LangevinProposal(x=np.array([x]), x_tilde=np.array([xt]), h=h, t=0.0,
-                         score_x=np.array([sx]), score_x_tilde=np.array([sxt]))
-    swapped = LangevinProposal(x=p.x_tilde, x_tilde=p.x, h=h, t=0.0,
-                               score_x=p.score_x_tilde, score_x_tilde=p.score_x)
-    assert log_H(p) == pytest.approx(-log_H(swapped), abs=1e-12)
+    assert log_h([x], [xt], [sx], [sxt], h) == pytest.approx(
+        -log_h([xt], [x], [sxt], [sx], h), abs=1e-12)
