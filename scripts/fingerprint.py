@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Print one sha256 per case for a fixed set of small sampler runs.
+
+Two builds of ``madm`` that draw, decide and report alike print the same
+lines, so running this file against two checkouts shows whether a change
+kept the output byte for byte:
+
+    PYTHONPATH=src python3 scripts/fingerprint.py
+    PYTHONPATH=/path/to/other/checkout/src python3 scripts/fingerprint.py
+
+The cases are every corrector kind through ``engine.corrector_sweep`` (5
+steps of 3000 chains; samples, scores, every ``SweepStats`` field and the
+generator state) and ``run_pc`` on eight small preset configurations
+(samples, the flat config and the report without its wall time).
+``madm`` is imported from ``PYTHONPATH`` (or the installed package), never
+looked up beside this file.
+"""
+
+import dataclasses
+import hashlib
+import json
+import sys
+
+import numpy as np
+
+from madm import engine
+from madm.adjust_quadrature import simpson13
+from madm.config import apply_overrides, preset_run_config
+from madm.engine import BoundSpec
+from madm.sampler import run_pc
+from madm.schedule import NoiseSchedule
+from madm.targets import gaussian_oracle
+
+SWEEP_KINDS = ("ula", "two-coin", "quadrature", "hybrid", "oracle-mh")
+
+RUNS = {
+    "fig1-hybrid": ("fig1-checkerboard", ["corrector.kind=hybrid"]),
+    "fig1-simpson13": ("fig1-checkerboard", ["corrector.kind=simpson13"]),
+    "fig1-ula": ("fig1-checkerboard", ["corrector.kind=ula"]),
+    "gaussian-two-coin": ("gaussian-bias", ["corrector.kind=two-coin"]),
+    "gaussian-oracle-mh": ("gaussian-bias", ["corrector.kind=oracle-mh"]),
+    "gaussian-trapezoid": ("gaussian-bias", ["corrector.kind=trapezoid"]),
+    "gaussian-hybrid-threads2": ("gaussian-bias", ["corrector.kind=hybrid",
+                                                   "run.threads=2"]),
+    "spiral": ("spiral", []),
+}
+
+# shrink each preset to a few seconds of work
+SMALL = {
+    "fig1-checkerboard": ["run.chains=200", "target.n_points=400"],
+    "gaussian-bias": ["run.chains=64", "corrector.steps=200"],
+    "spiral": ["run.chains=200", "target.n_points=500",
+               "corrector.steps=5"],
+}
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else
+                 json.dumps(part, sort_keys=True, default=repr).encode())
+    return h.hexdigest()
+
+
+def sweep_case(kind: str) -> str:
+    oracle = gaussian_oracle(np.zeros(2), 1.0)
+    rng = np.random.default_rng(2024)
+    X = rng.standard_normal((3000, 2))
+    X, S, stats = engine.corrector_sweep(
+        X, oracle.score(X, 1.0), oracle, 1.0, 0.4, kind, rng,
+        schedule=NoiseSchedule.edm(), bound=BoundSpec("lipschitz"),
+        rule=simpson13(), hybrid_rounds=3, steps=5)
+    return _digest(X.tobytes(), S.tobytes(), dataclasses.asdict(stats),
+                   rng.bit_generator.state)
+
+
+def run_case(name: str) -> str:
+    preset, overrides = RUNS[name]
+    config = apply_overrides(preset_run_config(preset),
+                             SMALL[preset] + overrides)
+    report = run_pc(config)
+    summary = report.summary_dict()
+    summary.pop("wall_time_s")
+    return _digest(np.ascontiguousarray(report.samples).tobytes(),
+                   config.to_flat_dict(), summary)
+
+
+def main() -> int:
+    for kind in SWEEP_KINDS:
+        print(f"{sweep_case(kind)}  sweep-{kind}", flush=True)
+    for name in RUNS:
+        print(f"{run_case(name)}  run-{name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

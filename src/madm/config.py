@@ -16,7 +16,7 @@ import numpy as np
 
 from . import engine
 from .adjust_quadrature import RULES
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .schedule import NoiseSchedule, SCHEDULE_KINDS
 from .targets import (DATASET_NAMES, ScoreOracle, diffused_empirical_oracle,
                       gaussian_oracle, generate_dataset, quartic_oracle,
@@ -44,6 +44,17 @@ class TargetConfig:
         if self.kind not in TARGET_KINDS:
             raise ConfigError(f"unknown target kind {self.kind!r}; "
                               f"expected one of {TARGET_KINDS}")
+        for key in ("n_points", "dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"target {key} must be >= 1, "
+                                  f"got {getattr(self, key)}")
+        if self.data_seed < 0:
+            raise ConfigError(f"data_seed must be >= 0, got {self.data_seed}")
+        for key in ("variance", "scale"):
+            value = getattr(self, key)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"target {key} must be finite and > 0, "
+                                  f"got {value}")
 
     def build_oracle(self, schedule: NoiseSchedule) -> ScoreOracle:
         self.validate()
@@ -150,6 +161,9 @@ class RunSettings:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if not 0.0 <= self.burn_in_frac < 1.0:
             raise ConfigError("burn_in_frac must lie in [0, 1)")
+        for key in ("seed", "reference_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 @dataclass
@@ -167,7 +181,10 @@ class RunConfig:
         self.predictor.validate()
         self.corrector.validate()
         self.run.validate()
-        self.schedule.build()
+        try:
+            self.schedule.build()
+        except DomainError as err:
+            raise ConfigError(f"schedule: {err}") from err
 
     def to_flat_dict(self) -> dict:
         out = {}

@@ -10,15 +10,15 @@ array of states, one shared draw per algorithmic event, with masks tracking
 which rows are still undecided.
 
 Every accept/reject decision is made here, by :func:`corrector_sweep` and
-the decision kernels it calls (:func:`_two_coin_steps`,
+the decision kernels it calls (:func:`_two_coin_rounds`,
 :func:`_quadrature_accept`, :func:`_hybrid_accept`, whose ``fallback`` rows
-record which path decided).  One call runs all K steps of a level.  The
-quadrature, hybrid, oracle-mh and ula correctors move all chains one step
-at a time, in lockstep.  The two-coin corrector's round count is geometric
-with a heavy tail, so its chains run out of lockstep instead: each pass
-proposes for every chain whose last decision is made and then runs one
-round for every chain still deciding, and a chain starts its next step as
-soon as its own decision is made.  The replicate samplers of
+record which path decided).  One call runs all K steps of a level in one
+step loop shared by every corrector: each pass proposes for every chain
+whose last decision is made, then decides the pending proposals.  The
+two-coin corrector's round count is geometric with a heavy tail, so it runs
+one round per pass and a chain starts its next step as soon as its own
+decision is made; every other corrector decides all of a pass's proposals
+at once, which moves its chains in lockstep.  The replicate samplers of
 :mod:`madm.adjust_exact` run the same kernels on broadcast views of one
 fixed proposal, and the verification suites call them on one-row arrays.
 
@@ -347,94 +347,6 @@ def _decision_frame(X, Xt, V, logH, swap):
             np.where(swap, -logH, logH))
 
 
-def _two_coin_steps(X, S, oracle, t, h, rng, steps, bound, schedule,
-                    max_rounds, on_step):
-    """``steps`` exact Barker steps per chain, out of lockstep.
-
-    Each pass first proposes for every chain that has no pending proposal
-    and has steps left, then runs one two-coin round for every chain with a
-    pending proposal.  A chain starts its next step on the pass after its
-    own decision, whatever the other chains are doing, so the passes number
-    about ``steps`` times the mean rounds plus the slowest chain's tail,
-    where lockstep sweeps pay the slowest chain's rounds at every step.
-    Rounds draw from ``rng`` exactly as in lockstep, in chain order within a
-    pass, so one step reproduces the lockstep sweep draw for draw.
-
-    ``on_step(chains, step, X_rows)`` receives the chains that finish a step
-    in a pass, the index of the step each finished, and their new states.
-    Each decision is capped at ``max_rounds`` rounds.  An error names the
-    chain and that chain's own sweep.  Returns (X', S', stats).
-    """
-    n, d = X.shape
-    X, S = X.copy(), S.copy()
-    Xt, St, Xa, Va = (np.empty_like(X) for _ in range(4))
-    log_h_a, C = np.empty(n), np.empty(n)
-    swap = np.zeros(n, dtype=bool)
-    pending = np.zeros(n, dtype=bool)
-    done = np.zeros(n, dtype=np.int64)     # steps each chain has finished
-    rounds = np.zeros(n, dtype=np.int64)   # rounds of each pending decision
-    stats = SweepStats(proposals=n * steps)
-    free, proposed = np.arange(n), 0
-    try:
-        while True:
-            if free.size:
-                x, s = X[free], S[free]
-                xt = (x + 0.5 * h * s
-                      + np.sqrt(h) * rng.standard_normal((free.size, d)))
-                st = oracle.score(xt, t)
-                _require_finite_rows(st, "score", free)
-                v, f0, f1, logH = _endpoint_terms(x, xt, s, st, h)
-                C[free] = bound_c_batch(x, xt, s, st, v, f0, f1, t, bound,
-                                        schedule, oracle, free)
-                sw = _swap_rows(f0, f1, logH)
-                Xa[free], Va[free], log_h_a[free] = _decision_frame(
-                    x, xt, v, logH, sw)
-                Xt[free], St[free], swap[free] = xt, st, sw
-                rounds[free] = 0
-                pending[free] = True
-                proposed += free.size
-            active = np.flatnonzero(pending)
-            if active.size == 0:
-                break
-            # a lone pending decision, or decisions after which no chain
-            # proposes again, run their remaining rounds in one call: the
-            # passes would draw the same numbers in the same order
-            limit = (max_rounds - int(rounds[active].max())
-                     if active.size == 1 or proposed == stats.proposals else 1)
-            frame_accept, ran, poisson, still = _two_coin_rounds(
-                Xa[active], Va[active], log_h_a[active], C[active], t, oracle,
-                rng, max_rounds, round_limit=limit, chains=active)
-            stats.round_passes += int(ran.max())
-            stats.poisson_total += int(poisson.sum())
-            rounds[active] += ran
-            if still.size:
-                stuck = still[rounds[active[still]] >= max_rounds]
-                if stuck.size:
-                    raise _stuck_error(stuck, max_rounds, C[active],
-                                       log_h_a[active], active)
-            decided = np.ones(active.size, dtype=bool)
-            decided[still] = False
-            rows = active[decided]
-            moved = rows[frame_accept[decided] ^ swap[rows]]
-            stats.accepted += moved.size
-            stats.jump_sq_total += float(np.sum((Xt[moved] - X[moved]) ** 2))
-            X[moved], S[moved] = Xt[moved], St[moved]
-            took = rounds[rows]
-            stats.rounds_total += int(took.sum())
-            stats.max_rounds = max(stats.max_rounds, int(took.max(initial=0)))
-            pending[rows] = False
-            step = done[rows]
-            if on_step is not None:
-                on_step(rows, step, X[rows])
-            done[rows] = step + 1
-            free = rows[step + 1 < steps]
-    except MadmError as err:
-        if err.chain is not None and err.sweep is None:
-            err.sweep = int(done[err.chain])
-        raise
-    return X, S, stats
-
-
 def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule,
                                 oracle: ScoreOracle, rows=None) -> np.ndarray:
     """Row-wise Newton-Cotes estimate of log p_t(x_tilde) - log p_t(x).
@@ -498,6 +410,35 @@ def _hybrid_accept(X, V, f0, f1, logH, C, t, rule, oracle, rng,
     return accept, rounds, poisson, fallback
 
 
+def _decide_at_once(kind, X, Xt, V, f0, f1, logH, C, t, rule, oracle, rng,
+                    hybrid_rounds, max_rounds, poisson_cap):
+    """Decisions for every kind but two-coin, one per row of the arrays.
+
+    Returns the accept flags, the rounds per row (0 for ula, 1 for an MH
+    decision), the Poisson totals per row and the iterations of the exact
+    round loop (hybrid only).
+    """
+    n = X.shape[0]
+    zeros = np.zeros(n, dtype=np.int64)
+    if kind == "ula":
+        return np.ones(n, dtype=bool), zeros, zeros, 0
+    ones = np.ones(n, dtype=np.int64)
+    if kind == "oracle-mh":
+        log_r = oracle.log_density(Xt, t) - oracle.log_density(X, t)
+        log_alpha = np.minimum(0.0, log_r + logH)
+        return np.log(rng.uniform(size=n)) <= log_alpha, ones, zeros, 0
+    if kind == "quadrature":
+        return (_quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng),
+                ones, zeros, 0)
+    accept, rounds, poisson, fallback = _hybrid_accept(
+        X, V, f0, f1, logH, C, t, rule, oracle, rng, hybrid_rounds,
+        max_rounds, poisson_cap)
+    # iterations of the exact loop: the rounds without the fallback's
+    exact_rounds = rounds.copy()
+    exact_rounds[fallback] -= 1
+    return accept, rounds, poisson, int(exact_rounds.max(initial=0))
+
+
 def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                     rng: np.random.Generator, *, schedule=None, bound=None,
                     rule=None, hybrid_rounds: int = 10,
@@ -508,12 +449,22 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
 
     ``S`` holds the cached scores of ``X`` at level ``t`` so repeated steps
     cost one new score evaluation per chain (the proposal endpoint) plus
-    whatever the decision itself queries.  The two-coin corrector runs its
-    steps out of lockstep (:func:`_two_coin_steps`); every other kind moves
-    all chains one step at a time.  ``on_step(chains, step, X_rows)``
-    receives the chains that finish a step, the index of that step and their
-    new states.  An error that names no sweep yet is given the index of the
-    step it was raised in.
+    whatever the decision itself queries.
+
+    Each pass first proposes for every chain that has no pending proposal
+    and has steps left, then decides pending proposals.  The two-coin kind
+    runs one round for every pending chain, so a chain starts its next step
+    on the pass after its own decision, whatever the other chains are doing:
+    the passes number about ``steps`` times the mean rounds plus the slowest
+    chain's tail, not the sum of each step's slowest chain.  Every other
+    kind decides each proposal in the pass that made it, so all chains move
+    in lockstep, one step per pass.
+
+    ``on_step(chains, step, X_rows)`` receives the chains that finish a step
+    in a pass, the index of the step each finished, and their new states.
+    Each two-coin decision is capped at ``max_rounds`` rounds.  An error
+    names the chain and that chain's own sweep, or the sweep every chain
+    has reached when it names no chain.
     """
     if kind not in CORRECTOR_KINDS or kind == "none":
         raise ConfigError(f"unsupported corrector kind {kind!r}")
@@ -521,72 +472,90 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
         raise DomainError(f"corrector step h must be finite and > 0, got {h}")
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
-    if kind == "two-coin":
-        queries_before = oracle.queries
-        X, S, stats = _two_coin_steps(X, S, oracle, t, h, rng, steps, bound,
-                                      schedule, max_rounds, on_step)
-        stats.score_queries = oracle.queries - queries_before
-        return X, S, stats
-    stats = SweepStats()
-    everyone = np.arange(X.shape[0])
-    for step in range(steps):
-        try:
-            X, S, st = _lockstep_step(X, S, oracle, t, h, kind, rng, schedule,
-                                      bound, rule, hybrid_rounds, max_rounds,
-                                      poisson_cap)
-        except MadmError as err:
-            if err.sweep is None:
-                err.sweep = step
-            raise
-        stats.merge(st)
-        if on_step is not None:
-            on_step(everyone, np.full(X.shape[0], step), X)
-    return X, S, stats
-
-
-def _lockstep_step(X, S, oracle, t, h, kind, rng, schedule, bound, rule,
-                   hybrid_rounds, max_rounds, poisson_cap):
-    """One step of every chain for every kind but two-coin."""
     n, d = X.shape
+    X, S = X.copy(), S.copy()
+    Xt, St, V, Xa = (np.empty_like(X) for _ in range(4))
+    f0, f1, logH, C = (np.empty(n) for _ in range(4))
+    swap = np.zeros(n, dtype=bool)
+    pending = np.zeros(n, dtype=bool)
+    done = np.zeros(n, dtype=np.int64)     # steps each chain has finished
+    rounds = np.zeros(n, dtype=np.int64)   # rounds of each pending decision
+    stats = SweepStats(proposals=n * steps)
     queries_before = oracle.queries
-    stats = SweepStats(proposals=n)
-
-    Z = rng.standard_normal((n, d))
-    Xt = X + 0.5 * h * S + np.sqrt(h) * Z
-    St = oracle.score(Xt, t)
-    _require_finite_rows(St, "score")
-
-    if kind == "ula":
-        stats.accepted = n
-        stats.rounds_total = 0
-        stats.jump_sq_total = float(np.sum((Xt - X) ** 2))
-        stats.score_queries = oracle.queries - queries_before
-        return Xt, St, stats
-
-    V, f0, f1, logH = _endpoint_terms(X, Xt, S, St, h)
-    rounds, poisson = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    if kind == "oracle-mh":
-        log_r = oracle.log_density(Xt, t) - oracle.log_density(X, t)
-        log_alpha = np.minimum(0.0, log_r + logH)
-        accept = np.log(rng.uniform(size=n)) <= log_alpha
-    elif kind == "quadrature":
-        accept = _quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng)
-    else:  # hybrid
-        C = bound_c_batch(X, Xt, S, St, V, f0, f1, t, bound, schedule, oracle)
-        accept, rounds, poisson, fallback = _hybrid_accept(
-            X, V, f0, f1, logH, C, t, rule, oracle, rng, hybrid_rounds,
-            max_rounds, poisson_cap)
-        # iterations of the exact loop: the rounds without the fallback's
-        exact_rounds = rounds.copy()
-        exact_rounds[fallback] -= 1
-        stats.round_passes = int(exact_rounds.max(initial=0))
-
-    stats.max_rounds = int(rounds.max(initial=0))
-    stats.accepted = int(accept.sum())
-    stats.rounds_total = int(rounds.sum())
-    stats.poisson_total = int(poisson.sum())
-    stats.jump_sq_total = float(np.sum(V[accept] ** 2))
+    free, proposed = np.arange(n), 0
+    try:
+        while True:
+            if free.size:
+                # take gathers the same rows as X[free] at a fraction of its
+                # fixed cost, which dominates on blocks of a few hundred rows
+                x, s = X.take(free, axis=0), S.take(free, axis=0)
+                xt = (x + 0.5 * h * s
+                      + np.sqrt(h) * rng.standard_normal((free.size, d)))
+                st = oracle.score(xt, t)
+                _require_finite_rows(st, "score", free)
+                Xt[free], St[free] = xt, st
+                if kind != "ula":
+                    v, e0, e1, lh = _endpoint_terms(x, xt, s, st, h)
+                    if kind in ("two-coin", "hybrid"):
+                        C[free] = bound_c_batch(x, xt, s, st, v, e0, e1, t,
+                                                bound, schedule, oracle, free)
+                    if kind == "two-coin":
+                        swap[free] = sw = _swap_rows(e0, e1, lh)
+                        Xa[free], v, lh = _decision_frame(x, xt, v, lh, sw)
+                    V[free], f0[free], f1[free], logH[free] = v, e0, e1, lh
+                rounds[free] = 0
+                pending[free] = True
+                proposed += free.size
+            active = np.flatnonzero(pending)
+            if active.size == 0:
+                break
+            if kind == "two-coin":
+                # a lone pending decision, or decisions after which no chain
+                # proposes again, run their remaining rounds in one call: the
+                # passes would draw the same numbers in the same order
+                limit = (max_rounds - int(rounds[active].max())
+                         if active.size == 1 or proposed == stats.proposals
+                         else 1)
+                frame_accept, ran, poisson, still = _two_coin_rounds(
+                    Xa.take(active, axis=0), V.take(active, axis=0),
+                    logH[active], C[active], t, oracle, rng, max_rounds,
+                    round_limit=limit, chains=active)
+                rounds[active] += ran
+                if still.size:
+                    stuck = still[rounds[active[still]] >= max_rounds]
+                    if stuck.size:
+                        raise _stuck_error(stuck, max_rounds, C[active],
+                                           logH[active], active)
+                decided = np.ones(active.size, dtype=bool)
+                decided[still] = False
+                rows = active[decided]
+                accept = frame_accept[decided] ^ swap[rows]
+                took, passes = rounds[rows], int(ran.max())
+            else:
+                # every chain proposed in this pass, so the rows are the chains
+                rows = active
+                accept, took, poisson, passes = _decide_at_once(
+                    kind, X, Xt, V, f0, f1, logH, C, t, rule, oracle, rng,
+                    hybrid_rounds, max_rounds, poisson_cap)
+            stats.round_passes += passes
+            stats.poisson_total += int(poisson.sum())
+            moved = rows[accept]
+            stats.accepted += moved.size
+            xt, x = Xt.take(moved, axis=0), X.take(moved, axis=0)
+            stats.jump_sq_total += float(np.sum((xt - x) ** 2))
+            X[moved], S[moved] = xt, St.take(moved, axis=0)
+            stats.rounds_total += int(took.sum())
+            stats.max_rounds = max(stats.max_rounds, int(took.max(initial=0)))
+            pending[rows] = False
+            step = done[rows]
+            if on_step is not None:
+                on_step(rows, step, X.take(rows, axis=0))
+            done[rows] = step + 1
+            free = rows[step + 1 < steps]
+    except MadmError as err:
+        if err.sweep is None:
+            err.sweep = int(done.min() if err.chain is None
+                            else done[err.chain])
+        raise
     stats.score_queries = oracle.queries - queries_before
-    X_new = np.where(accept[:, None], Xt, X)
-    S_new = np.where(accept[:, None], St, S)
-    return X_new, S_new, stats
+    return X, S, stats

@@ -8,8 +8,9 @@ corrector steps targeting the level just reached.
 
 Chains start from N(0, I) at t = 1 and are held in one array per thread
 block.  Each level's K corrector steps run in one call to
-:func:`madm.engine.corrector_sweep`: in lockstep sweeps, except the exact
-two-coin corrector's, whose chains each run their K steps out of lockstep.
+:func:`madm.engine.corrector_sweep`, whose step loop serves every corrector:
+the exact two-coin corrector's chains each run their K steps out of
+lockstep, and the other correctors move all chains one step per pass.
 Runs are fully reproducible from the seed (each thread block draws from its
 own spawned stream, merged in block order).
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -231,21 +232,10 @@ class RunReport:
     def summary_dict(self) -> dict:
         per_level = []
         for ls in self.per_level:
-            row = {
-                "t": ls.t,
-                "corrector_steps": ls.corrector_steps,
-                "acceptance_rate": ls.acceptance_rate,
-                "mean_rounds": ls.mean_rounds,
-                "mean_queries": ls.mean_queries,
-                "esjd": ls.esjd,
-                "predictor_queries": ls.predictor_queries,
-                "corrector_queries": ls.corrector_queries,
-                "round_passes": ls.round_passes,
-                "max_rounds": ls.max_rounds,
-            }
-            if ls.post_var is not None:
-                row.update(post_mean=ls.post_mean, post_var=ls.post_var,
-                           post_var_se=ls.post_var_se)
+            row = asdict(ls)
+            if ls.post_var is None:
+                for key in ("post_mean", "post_var", "post_var_se"):
+                    del row[key]
             per_level.append(row)
         return {
             "seed": self.seed,
@@ -266,7 +256,6 @@ class _LevelAccumulator:
     predictor_queries: int = 0
     moment_count: int = 0
     moment_sum: float = 0.0
-    moment_sq: float = 0.0
     unit_var_sum: float = 0.0
     unit_var_sq: float = 0.0
     units: int = 0
@@ -278,7 +267,6 @@ class _LevelAccumulator:
         # shared while sums and units pool across chains
         self.moment_count = max(self.moment_count, other.moment_count)
         self.moment_sum += other.moment_sum
-        self.moment_sq += other.moment_sq
         self.unit_var_sum += other.unit_var_sum
         self.unit_var_sq += other.unit_var_sq
         self.units += other.units
@@ -316,23 +304,21 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, oracle: ScoreOracle,
         acc.predictor_queries = oracle.queries - q_before
         if engine_kind is not None and K > 0 and level.t > 0:
             h = _corrector_step_size(config, schedule, level)
-            q_entry = oracle.queries
-            S = oracle.score(X, level.t)
-            engine._require_finite_rows(S, "score")
-            acc.stats.score_queries += oracle.queries - q_entry
             unit_sum, unit_sq = np.zeros_like(X), np.zeros_like(X)
 
             def record(rows, steps, X_rows):
                 # post-burn-in moments of the chains that just finished a step
                 keep = steps >= burn
                 rows, X_rows = rows[keep], X_rows[keep]
-                sq = X_rows * X_rows
                 acc.moment_sum += float(X_rows.sum())
-                acc.moment_sq += float(sq.sum())
                 unit_sum[rows] += X_rows
-                unit_sq[rows] += sq
+                unit_sq[rows] += X_rows * X_rows
 
             try:
+                q_entry = oracle.queries
+                S = oracle.score(X, level.t)
+                engine._require_finite_rows(S, "score")
+                acc.stats.score_queries += oracle.queries - q_entry
                 X, S, st = engine.corrector_sweep(
                     X, S, oracle, level.t, h, engine_kind, rng,
                     schedule=schedule, bound=bound, rule=quad_rule,

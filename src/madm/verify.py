@@ -323,4 +323,6 @@ def run_suite(name: str, seed: int | None = None) -> dict:
                           f"valid suites: {sorted(SUITES)}")
     if seed is None:
         return SUITES[name]()
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return SUITES[name](seed=seed)

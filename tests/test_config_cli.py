@@ -117,7 +117,20 @@ def test_cli_sample_exit_2_on_bad_config(tmp_path, capsys):
                 ["--corrector", "hybrid", "--set", "corrector.poisson_cap=-1"],
                 ["--set", "corrector.bound_value=-1"],
                 ["--set", "corrector.step_scale=nan"],
-                ["--set", "corrector.step_scale=inf"]):
+                ["--set", "corrector.step_scale=inf"],
+                ["--set", "run.seed=-1"],
+                ["--set", "target.data_seed=-1"],
+                ["--set", "target.dim=0"],
+                ["--set", "target.variance=-1"],
+                ["--set", "target.variance=nan"],
+                ["--set", "target.kind=quartic", "--set", "target.scale=0"],
+                ["--preset", "fig1-checkerboard", "--set", "schedule.T=0"],
+                ["--preset", "fig1-checkerboard",
+                 "--set", "schedule.beta_max=1.5"],
+                ["--preset", "fig1-checkerboard",
+                 "--set", "schedule.beta_min=0"],
+                ["--preset", "fig1-checkerboard",
+                 "--set", "target.n_points=0"]):
         capsys.readouterr()
         code = main(["sample", "--preset", "gaussian-bias", "--out",
                      str(tmp_path), "--quiet", "--set", "run.chains=8",
@@ -161,6 +174,13 @@ def test_cli_verify_unknown_suite_lists_options(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "lemma1" in err and "ula-bias" in err
+
+
+def test_cli_verify_exit_2_on_negative_seed(tmp_path, capsys):
+    code = main(["verify", "lemma1", "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "verify_lemma1.json").exists()
 
 
 def test_cli_verify_writes_verdict(tmp_path):

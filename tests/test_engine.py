@@ -9,7 +9,7 @@ from madm.errors import (BoundViolationError, ConfigError, DomainError,
                          NonFiniteError, NonterminationError)
 from madm.schedule import NoiseSchedule
 from madm.targets import (Dataset2D, ScoreOracle, diffused_empirical_oracle,
-                          gaussian_oracle)
+                          gaussian_oracle, quartic_oracle)
 
 
 def test_bound_c_batch_matches_closed_forms():
@@ -493,6 +493,21 @@ def test_lockstep_steps_name_the_step_of_an_error():
         _sweep(X, oracle.score(X, 1.0), oracle, "ula",
                np.random.default_rng(31), steps=5)
     assert info.value.sweep == 1
+
+
+@pytest.mark.parametrize("kind", ["two-coin", "hybrid"])
+def test_sweep_gives_a_chainless_error_the_common_step(kind):
+    # the quartic oracle declares no denoiser bound, which no chain trips
+    oracle = quartic_oracle()
+    X = np.zeros((4, 1))
+    with pytest.raises(ConfigError, match="no denoiser bound") as info:
+        engine.corrector_sweep(X, oracle.score(X, 1.0), oracle, 1.0, 0.4,
+                               kind, np.random.default_rng(32),
+                               schedule=NoiseSchedule.edm(),
+                               bound=BoundSpec("bounded-denoiser"),
+                               rule=simpson13(), steps=3)
+    assert info.value.chain is None
+    assert info.value.sweep == 0
 
 
 def test_sweep_stats_merge_sums_passes_and_keeps_the_longest_decision():

@@ -42,7 +42,8 @@ def test_tracer_hooks_resolve_to_live_madm_functions():
     assert "data" in oracle
 
 
-@pytest.mark.parametrize("workload", ["gaussian-two-coin", "verify-exact"])
+@pytest.mark.parametrize("workload", ["gaussian-two-coin", "verify-exact",
+                                      "checkerboard-hybrid"])
 def test_traced_tiny_run_sees_the_kernels(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -56,3 +57,7 @@ def test_traced_tiny_run_sees_the_kernels(workload):
     assert metrics["engine.two_coin.iterations"]["value"] > 0
     if workload == "verify-exact":
         assert metrics["adjust_exact.replicates.decisions"]["value"] > 0
+    if workload == "checkerboard-hybrid":
+        # the hybrid's exact rounds, its capped rows and its fallback
+        assert metrics["engine.hybrid.capped_rows"]["value"] > 0
+        assert metrics["engine.quadrature.rows"]["value"] > 0

@@ -207,6 +207,22 @@ def test_run_pc_reports_per_level_fields():
     assert report.per_level[-1].t == 0.0
 
 
+def test_run_pc_summary_has_post_moments_only_where_measured():
+    post = {"post_mean", "post_var", "post_var_se"}
+    for steps, measured in ((2, False), (3, True)):
+        # burn-in takes one step, and a variance needs two draws per chain
+        report = run_pc(_base_config(corrector={
+            "kind": "ula", "steps": steps, "step_scale": 0.1,
+            "step_rule": "beta"}))
+        rows = report.summary_dict()["per_level"]
+        assert (post <= set(rows[0])) is measured
+        assert not post & set(rows[-1])  # t = 0 runs no corrector
+        assert set(rows[0]) - post == {
+            "t", "corrector_steps", "acceptance_rate", "mean_rounds",
+            "mean_queries", "esjd", "predictor_queries", "corrector_queries",
+            "round_passes", "max_rounds"}
+
+
 def test_run_pc_t_end_truncates_grid():
     cfg = _base_config(predictor={"kind": "ancestral", "steps": 10,
                                   "t_end": 0.3})
@@ -309,3 +325,28 @@ def test_run_pc_two_coin_error_names_level_chain_and_its_sweep():
     err = info.value
     assert str(err).startswith(f"corrector at level t=1, sweep {err.sweep}: ")
     assert str(err).endswith(f"(first stuck chain {err.chain})")
+
+
+def test_run_pc_level_entry_score_error_names_its_level(monkeypatch):
+    # the score is NaN only at t = 10/18; the predictor into that level
+    # scores t = 11/18, so the first NaN is the corrector's entry score
+    from madm.config import TargetConfig, apply_overrides, preset_run_config
+    from madm.errors import NonFiniteError
+
+    build = TargetConfig.build_oracle
+
+    def nan_at_one_level(self, schedule):
+        oracle = build(self, schedule)
+        score_fn = oracle.score_fn
+        oracle.score_fn = lambda x, t: score_fn(x, t) * (
+            np.nan if t == 10 / 18 else 1.0)
+        return oracle
+
+    monkeypatch.setattr(TargetConfig, "build_oracle", nan_at_one_level)
+    cfg = apply_overrides(preset_run_config("fig1-checkerboard"),
+                          ["run.chains=8", "target.n_points=60",
+                           "corrector.steps=2"])
+    with pytest.raises(NonFiniteError) as info:
+        run_pc(cfg)
+    assert str(info.value) == ("corrector at level t=0.555556: non-finite "
+                               "score at chain 0, coordinate 0")
