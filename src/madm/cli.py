@@ -138,18 +138,32 @@ def _parse_grid(spec: str) -> np.ndarray:
     return grid
 
 
+def _parse_dims(spec: str) -> tuple:
+    try:
+        dims = tuple(int(d) for d in spec.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad dims {spec!r}; expected D1,D2,...") from exc
+    if min(dims) < 1:
+        raise ConfigError(f"dims must be >= 1, got {spec!r}")
+    return dims
+
+
 def cmd_scaling(args) -> int:
-    out = _out_dir(args)
     preset = expand_preset(args.preset) if args.preset else expand_preset("scaling")
     if preset.get("command") != "scaling":
         raise ConfigError(f"preset {args.preset!r} is not a scaling preset")
-    grid_spec = args.grid or preset["grid"]
-    dims = (tuple(int(d) for d in args.dims.split(","))
-            if args.dims else tuple(preset["dims"]))
-    proposals = args.proposals or preset["proposals"]
+    grid = _parse_grid(args.grid or preset["grid"])
+    dims = _parse_dims(args.dims) if args.dims else tuple(preset["dims"])
+    proposals = (args.proposals if args.proposals is not None
+                 else preset["proposals"])
     seed = args.seed if args.seed is not None else preset["seed"]
+    if proposals < 1:
+        raise ConfigError(f"proposals must be >= 1, got {proposals}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
-    curve = diagnostics.optimal_scaling_curve(_parse_grid(grid_spec))
+    out = _out_dir(args)
+    curve = diagnostics.optimal_scaling_curve(grid)
     with open(out / "scaling_curve.csv", "w") as fh:
         fh.write("l,acceptance,efficiency\n")
         for l, a, e in curve.rows():

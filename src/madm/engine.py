@@ -26,6 +26,12 @@ The two-coin decision may run each pair in whichever direction is cheaper
 (Barker satisfies alpha(x -> y) = 1 - alpha(y -> x), so negating the
 reversed decision leaves the law unchanged while taming the e^{log H}
 factor in the round count).
+
+The ``lipschitz-sharp`` envelope is an affine split: the line through the
+endpoint integrands f(0) and f(1) integrates exactly, its integral E joins
+log H, and C bounds only the remainder, so the factory's cost is that of
+H e^E and the remainder's C (0 on Gaussian targets).  Every other envelope
+bounds the whole integrand, with E = 0 and no line to subtract.
 """
 
 from __future__ import annotations
@@ -153,14 +159,13 @@ def _take_rows(A: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _segment_products(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Product of consecutive ``factors`` segments of the given lengths."""
+    """Product of consecutive ``factors`` segments of the given lengths.
+
+    Each segment is multiplied left to right from 1.0, the same operations
+    as ``np.multiply.reduceat``; an empty segment gives 1.0.
+    """
     out = np.ones(counts.shape[0])
-    mask = counts > 0
-    if not mask.any():
-        return out
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    out[mask] = np.multiply.reduceat(factors, starts[mask])
+    np.multiply.at(out, np.repeat(np.arange(counts.shape[0]), counts), factors)
     return out
 
 
@@ -179,19 +184,26 @@ def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
 
         C = max(||s(x)||, ||s(x_tilde)||) ||v|| + (L/2) ||v||^2
 
-    Sharp Lipschitz route: under the same assumption the integrand itself is
-    (L ||v||^2)-Lipschitz on [0, 1], and with both endpoint values in hand
+    Sharp Lipschitz route, an affine split: under the same assumption the
+    integrand is L' = L ||v||^2 Lipschitz on [0, 1].  The line
+    l(u) = f(0) + D u through both endpoint values (D = f(1) - f(0))
+    integrates exactly, to E = (f(0) + f(1)) / 2, which joins log H (see
+    :func:`_affine_split`); C bounds only the remainder g = f - l:
 
-        C = (|f(0)| + |f(1)| + L ||v||^2) / 2
+        C = (L'^2 - D^2) / (2 L')
 
-    dominates the whole segment.  It is never larger than the plain route
-    and is exactly tight for affine integrands (Gaussian targets), which
-    collapses the e^C tail of the loop's round count.
+    the tight bound on |g| given f(0), f(1) and the Lipschitz constant.  It
+    is 0 on affine integrands (Gaussian targets), never above L'/2, and
+    E + C never exceeds the whole-integrand bound (|f(0)| + |f(1)| + L')/2.
+    It carries a rounding slack of 1e-12 (|f(0)| + |f(1)| + L'), so factors
+    drawn on an affine integrand stay in [0, 1]; a null move gets C = 0.  A
+    row whose endpoint slope |D| exceeds L' (beyond rounding) proves the
+    declared L wrong and is rejected.
 
-    ``V``, ``f0`` and ``f1`` are the rows' :func:`_endpoint_terms`.  Each
-    row's C is checked against its endpoint integrands: C must dominate
-    |f(0)| and |f(1)| or the bound is rejected outright.  ``chains`` maps
-    rows to the chain numbers that errors report.
+    ``V``, ``f0`` and ``f1`` are the rows' :func:`_endpoint_terms`.  On the
+    other routes each row's C is checked against its endpoint integrands:
+    C must dominate |f(0)| and |f(1)| or the bound is rejected outright.
+    ``chains`` maps rows to the chain numbers that errors report.
     """
     norm_v = np.linalg.norm(V, axis=1)
     if spec.strategy == BOUNDED_DENOISER:
@@ -208,12 +220,11 @@ def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
         lip = spec.value if spec.value is not None else oracle.lipschitz
         if lip is None:
             raise ConfigError(f"oracle {oracle.name!r} declares no Lipschitz constant")
-        if spec.strategy == LIPSCHITZ:
-            s_max = np.maximum(np.linalg.norm(S, axis=1),
-                               np.linalg.norm(St, axis=1))
-            c = s_max * norm_v + 0.5 * lip * norm_v ** 2
-        else:
-            c = 0.5 * (np.abs(f0) + np.abs(f1) + lip * norm_v ** 2)
+        if spec.strategy == LIPSCHITZ_SHARP:
+            return _remainder_bound(f0, f1, lip * norm_v ** 2, chains)
+        s_max = np.maximum(np.linalg.norm(S, axis=1),
+                           np.linalg.norm(St, axis=1))
+        c = s_max * norm_v + 0.5 * lip * norm_v ** 2
     elif spec.strategy == MANUAL:
         if spec.value is None:
             raise ConfigError("manual bound requires an explicit value")
@@ -232,6 +243,32 @@ def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
     return c
 
 
+def _remainder_bound(f0, f1, lip_v, chains=None) -> np.ndarray:
+    """C of the sharp route: the tight bound on the integrand's remainder
+    after its line through f(0) and f(1), for an integrand that is
+    ``lip_v``-Lipschitz on [0, 1]."""
+    slope = np.abs(f1 - f0)
+    steep = slope > lip_v * (1.0 + 1e-12) + 1e-15
+    if steep.any():
+        row = int(np.flatnonzero(steep)[0])
+        chain = _chain_of(row, chains)
+        raise _at_chain(BoundViolationError(
+            f"endpoint integrands f(0)={f0[row]:.6g} and f(1)={f1[row]:.6g} "
+            f"differ by more than L ||v||^2={lip_v[row]:.6g} at chain {chain}: "
+            "the declared Lipschitz constant does not hold"), chain)
+    # (L'^2 - D^2) / (2 L') as (L' - |D|)(L' + |D|) / (2 L'), 0 for L' = 0
+    room = np.maximum(lip_v - slope, 0.0) * (lip_v + slope)
+    c = np.divide(room, 2.0 * lip_v, out=np.zeros_like(room), where=lip_v > 0)
+    return c + 1e-12 * (np.abs(f0) + np.abs(f1) + lip_v)
+
+
+def _affine_split(f0, f1):
+    """(E, a, b) of the line l(u) = a + b u through the endpoint integrands:
+    a = f(0), b = f(1) - f(0), and E = (f(0) + f(1)) / 2 its exact integral.
+    The sharp route's rounds run on the remainder f - l and add E to log H."""
+    return 0.5 * (f0 + f1), f0, f1 - f0
+
+
 def log_h_batch(V, S, St, h: float) -> np.ndarray:
     """Row-wise log of the proposal ratio q(x | x_tilde) / q(x_tilde | x),
     from the displacements v = x_tilde - x and the endpoint scores."""
@@ -240,9 +277,13 @@ def log_h_batch(V, S, St, h: float) -> np.ndarray:
     return (_row_dot(fwd, fwd) - _row_dot(bwd, bwd)) / (2.0 * h)
 
 
-def _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains=None):
+def _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains=None,
+                     base=None):
     """W draws for the active rows given their Poisson counts.
 
+    Each factor is 1/2 + g(U) / (2C).  Without ``base``, g is the line
+    integrand f itself; with ``base = (a, b)``, arrays aligned with ``C``, it
+    is the remainder f(U) - a - b U of an affine split.
     Factor rows are scored ``FACTOR_BLOCK`` at a time, each block drawing its
     uniforms just before its score call; consecutive draws equal one draw of
     all the uniforms, so the blocking leaves the stream unchanged.
@@ -256,6 +297,9 @@ def _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains=None):
         v = _take_rows(Va, rows)
         pts = _take_rows(Xa, rows) + u[:, None] * v
         integrands = _row_dot(oracle.score(pts, t), v)
+        if base is not None:
+            a, b = (_take_rows(part, rows) for part in base)
+            integrands -= a + b * u
         block = 0.5 + integrands / (2.0 * _take_rows(C, rows))
         # min and max propagate NaN, which fails both comparisons
         if not (block.min() >= -FACTOR_TOLERANCE
@@ -280,7 +324,7 @@ def _envelope_error(block, integrands, rows, C, chains):
 
 
 def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
-                     round_limit=None, chains=None):
+                     round_limit=None, chains=None, *, base=None):
     """Masked two-coin rounds; returns per-row frame outcomes.
 
     Each round rejects outright with probability alpha' = (1 + H e^C)^{-1},
@@ -288,7 +332,10 @@ def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
     ``round_limit`` caps the number of rounds without treating the cap as an
     error (hybrid use); rows still undecided are reported in the fourth
     return value.  Without it, exhausting ``max_rounds`` raises.  ``chains``
-    maps rows to the chain numbers that errors report.
+    maps rows to the chain numbers that errors report.  With an affine split
+    the W-coin runs on the remainder after the per-row line ``base = (a, b)``
+    (see :func:`_factor_products`), ``C`` bounds that remainder and
+    ``log_h_a`` already holds log H + E.
     """
     n = Xa.shape[0]
     alpha_prime = expit(-(log_h_a + C))
@@ -305,7 +352,8 @@ def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
             break
         counts = rng.poisson(2.0 * _take_rows(C, active), size=active.size)
         poisson[active] += counts
-        w = _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains)
+        w = _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains,
+                             base)
         accept_now = rng.uniform(size=active.size) <= w
         frame_accept[active[accept_now]] = True
         active = active[~accept_now]
@@ -333,18 +381,30 @@ def _endpoint_terms(X, Xt, S, St, h):
     return V, _row_dot(S, V), _row_dot(St, V), log_h_batch(V, S, St, h)
 
 
-def _swap_rows(f0, f1, logH):
-    """Rows cheaper to decide from x_tilde: log H above the trapezoid
-    estimate (f(0) + f(1)) / 2 of log r."""
+def _swap_rows(f0, f1, logH, exact=None):
+    """Rows cheaper to decide from x_tilde: log H + 2E above the trapezoid
+    estimate (f(0) + f(1)) / 2 of log r, where ``exact`` is the part E split
+    off the integrand (none: E = 0).  With the affine split E is that
+    estimate, and the rule reads H e^E > 1."""
+    if exact is not None:
+        logH = logH + 2.0 * exact
     return logH > 0.5 * (f0 + f1)
 
 
 def _decision_frame(X, Xt, V, logH, swap):
     """(start, direction, log H) of each row's two-coin decision.  The
     ``swap`` rows run from x_tilde back to x; their callers negate the
-    decision the round loop returns for them."""
+    decision the round loop returns for them.  With an affine split,
+    ``logH`` holds log H + E, whose sign flips with the direction too."""
     return (np.where(swap[:, None], Xt, X), np.where(swap[:, None], -V, V),
             np.where(swap, -logH, logH))
+
+
+def _frame_baseline(a, b, swap):
+    """The line a + b u of an affine split, seen from each row's frame: a
+    swapped row runs u' = 1 - u along -v, where the line reads
+    (-a - b) + b u'."""
+    return np.where(swap, -a - b, a), b
 
 
 def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule,
@@ -381,13 +441,16 @@ def _quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng, rows=None):
 
 
 def _hybrid_accept(X, V, f0, f1, logH, C, t, rule, oracle, rng,
-                   hybrid_rounds, max_rounds, poisson_cap):
+                   hybrid_rounds, max_rounds, poisson_cap, split=False):
     """At most ``hybrid_rounds`` exact rounds, then the quadrature fallback.
 
     Rows with 2C above ``poisson_cap``, and every row when
-    ``hybrid_rounds`` is 0, skip the exact rounds.  Returns the decisions,
-    the rounds per row (the fallback counts as one), the Poisson totals per
-    row and the rows the fallback decided.
+    ``hybrid_rounds`` is 0, skip the exact rounds.  With ``split`` (the
+    sharp route) C bounds the remainder of the affine split, and the exact
+    rounds run on it with E added to log H; the fallback keeps log H, f(0)
+    and f(1).  Returns the decisions, the rounds per row (the fallback
+    counts as one), the Poisson totals per row and the rows the fallback
+    decided.
     """
     n = X.shape[0]
     accept = np.zeros(n, dtype=bool)
@@ -397,9 +460,13 @@ def _hybrid_accept(X, V, f0, f1, logH, C, t, rule, oracle, rng,
     fallback = np.flatnonzero(~exact)
     if np.any(exact):
         rows = np.flatnonzero(exact)
+        log_h, base = logH[rows], None
+        if split:
+            e, a, b = _affine_split(f0[rows], f1[rows])
+            log_h, base = log_h + e, (a, b)
         frame_accept, rounds[rows], poisson[rows], still = _two_coin_rounds(
-            X[rows], V[rows], logH[rows], C[rows], t, oracle, rng,
-            max_rounds, round_limit=hybrid_rounds, chains=rows)
+            X[rows], V[rows], log_h, C[rows], t, oracle, rng,
+            max_rounds, round_limit=hybrid_rounds, chains=rows, base=base)
         # rows still undecided are overwritten by the fallback below
         accept[rows] = frame_accept
         fallback = np.concatenate([fallback, rows[still]])
@@ -411,7 +478,7 @@ def _hybrid_accept(X, V, f0, f1, logH, C, t, rule, oracle, rng,
 
 
 def _decide_at_once(kind, X, Xt, V, f0, f1, logH, C, t, rule, oracle, rng,
-                    hybrid_rounds, max_rounds, poisson_cap):
+                    hybrid_rounds, max_rounds, poisson_cap, split):
     """Decisions for every kind but two-coin, one per row of the arrays.
 
     Returns the accept flags, the rounds per row (0 for ula, 1 for an MH
@@ -432,7 +499,7 @@ def _decide_at_once(kind, X, Xt, V, f0, f1, logH, C, t, rule, oracle, rng,
                 ones, zeros, 0)
     accept, rounds, poisson, fallback = _hybrid_accept(
         X, V, f0, f1, logH, C, t, rule, oracle, rng, hybrid_rounds,
-        max_rounds, poisson_cap)
+        max_rounds, poisson_cap, split)
     # iterations of the exact loop: the rounds without the fallback's
     exact_rounds = rounds.copy()
     exact_rounds[fallback] -= 1
@@ -477,6 +544,11 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
     Xt, St, V, Xa = (np.empty_like(X) for _ in range(4))
     f0, f1, logH, C = (np.empty(n) for _ in range(4))
     swap = np.zeros(n, dtype=bool)
+    # the sharp route splits off each integrand's line; two-coin keeps the
+    # line (a, b) of every row in its decision frame
+    split = bound is not None and bound.strategy == LIPSCHITZ_SHARP
+    if split and kind == "two-coin":
+        A, B = np.empty(n), np.empty(n)
     pending = np.zeros(n, dtype=bool)
     done = np.zeros(n, dtype=np.int64)     # steps each chain has finished
     rounds = np.zeros(n, dtype=np.int64)   # rounds of each pending decision
@@ -500,7 +572,13 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                         C[free] = bound_c_batch(x, xt, s, st, v, e0, e1, t,
                                                 bound, schedule, oracle, free)
                     if kind == "two-coin":
-                        swap[free] = sw = _swap_rows(e0, e1, lh)
+                        if split:
+                            e, a, b = _affine_split(e0, e1)
+                            swap[free] = sw = _swap_rows(e0, e1, lh, e)
+                            A[free], B[free] = _frame_baseline(a, b, sw)
+                            lh = lh + e
+                        else:
+                            swap[free] = sw = _swap_rows(e0, e1, lh)
                         Xa[free], v, lh = _decision_frame(x, xt, v, lh, sw)
                     V[free], f0[free], f1[free], logH[free] = v, e0, e1, lh
                 rounds[free] = 0
@@ -519,7 +597,8 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                 frame_accept, ran, poisson, still = _two_coin_rounds(
                     Xa.take(active, axis=0), V.take(active, axis=0),
                     logH[active], C[active], t, oracle, rng, max_rounds,
-                    round_limit=limit, chains=active)
+                    round_limit=limit, chains=active,
+                    base=(A[active], B[active]) if split else None)
                 rounds[active] += ran
                 if still.size:
                     stuck = still[rounds[active[still]] >= max_rounds]
@@ -536,7 +615,7 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                 rows = active
                 accept, took, poisson, passes = _decide_at_once(
                     kind, X, Xt, V, f0, f1, logH, C, t, rule, oracle, rng,
-                    hybrid_rounds, max_rounds, poisson_cap)
+                    hybrid_rounds, max_rounds, poisson_cap, split)
             stats.round_passes += passes
             stats.poisson_total += int(poisson.sum())
             moved = rows[accept]

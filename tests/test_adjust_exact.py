@@ -62,6 +62,7 @@ def test_bound_c_zero_for_null_move():
     edm = NoiseSchedule.edm()
     assert bound_c(p, BoundSpec("lipschitz"), edm, oracle) == 0.0
     assert bound_c(p, BoundSpec("bounded-denoiser"), edm, oracle) == 0.0
+    assert bound_c(p, BoundSpec("lipschitz-sharp"), edm, oracle) == 0.0
 
 
 def test_bound_c_lipschitz_gaussian_value():
@@ -94,14 +95,17 @@ def test_bound_c_lipschitz_sharp_tight_on_affine_integrand():
     oracle, p = fixture_proposal()
     sharp = bound_c(p, BoundSpec("lipschitz-sharp"), NoiseSchedule.edm(),
                     oracle)
-    # (|f0| + |f1| + L ||v||^2) / 2 = (0 + 1 + 1) / 2; affine integrand makes
-    # this exactly the segment supremum
-    assert sharp == pytest.approx(1.0, rel=1e-12)
+    # f(0) = 0, f(1) = -1, L ||v||^2 = 1: the integrand is its own line, so
+    # the remainder bound (L'^2 - D^2) / (2 L') is 0 and only the rounding
+    # slack 1e-12 (|f0| + |f1| + L') = 2e-12 is left
+    assert sharp == pytest.approx(2e-12, rel=1e-12)
     plain = bound_c(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
     assert sharp <= plain
 
 
 def test_bound_c_lipschitz_sharp_dominates_the_integrand():
+    # the sharp route bounds the remainder f - l after the line l through
+    # f(0) and f(1)
     rng = np.random.default_rng(42)
     oracle = gaussian_oracle(np.array([0.3, -0.1]), 1.7)
     for _ in range(25):
@@ -110,10 +114,11 @@ def test_bound_c_lipschitz_sharp_dominates_the_integrand():
         p = one_row(x, xt, oracle, t=1.0, h=0.3)
         c = bound_c(p, BoundSpec("lipschitz-sharp"), NoiseSchedule.edm(),
                     oracle)
-        u = np.linspace(0, 1, 101)[:, None]
-        pts = x[None, :] + u * (xt - x)[None, :]
+        u = np.linspace(0, 1, 101)
+        pts = x[None, :] + u[:, None] * (xt - x)[None, :]
         f = oracle.score_fn(pts, 1.0) @ (xt - x)
-        assert np.abs(f).max() <= c * (1 + 1e-12)
+        line = p.f0[0] + (p.f1[0] - p.f0[0]) * u
+        assert np.abs(f - line).max() <= c * (1 + 1e-12)
 
 
 def test_bound_c_manual_endpoint_violation():

@@ -140,10 +140,13 @@ def test_cli_sample_exit_2_on_bad_config(tmp_path, capsys):
 
 
 def test_cli_sample_exit_3_on_numerical_error(tmp_path):
-    # round cap of 1 with many chains: the two-coin loop cannot decide
+    # round cap of 1 with many chains: the two-coin loop cannot decide (on
+    # the plain envelope; the sharp route's split decides every Gaussian
+    # proposal in its first round)
     code = main(["sample", "--preset", "gaussian-bias", "--out",
                  str(tmp_path), "--quiet", "--set", "run.chains=512",
                  "--set", "corrector.steps=3",
+                 "--set", "corrector.bound=lipschitz",
                  "--set", "corrector.max_rounds=1"])
     assert code == 3
 
@@ -219,8 +222,18 @@ def test_cli_scaling_outputs(tmp_path):
     assert 1.0 <= meta["l_star"] <= 2.5
 
 
-def test_cli_scaling_bad_grid(tmp_path):
-    assert main(["scaling", "--grid", "nope", "--out", str(tmp_path)]) == 2
+def test_cli_scaling_bad_grid(tmp_path, capsys):
+    # every argument is checked before anything is written
+    out = tmp_path / "out"
+    for bad in (["--grid", "nope"], ["--seed", "-1"], ["--proposals", "-5"],
+                ["--proposals", "0"], ["--dims", "-2"], ["--dims", "10,0"],
+                ["--dims", "ten"]):
+        capsys.readouterr()
+        code = main(["scaling", "--grid", "1.0:2.5:4", "--dims", "2",
+                     "--proposals", "100", *bad, "--out", str(out)])
+        assert code == 2, bad
+        assert "configuration error" in capsys.readouterr().err, bad
+        assert not out.exists(), bad
 
 
 def test_cli_plotdata_on_run_pair(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from madm import engine
@@ -25,7 +27,7 @@ def test_bound_c_batch_matches_closed_forms():
     r, sigma = sched.marginal_params(1.0)
     norm = np.linalg.norm
     for spec in (BoundSpec("lipschitz"), BoundSpec("bounded-denoiser"),
-                 BoundSpec("manual", 50.0)):
+                 BoundSpec("lipschitz-sharp", 2.0), BoundSpec("manual", 50.0)):
         batch = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0, spec, sched,
                                      oracle)
         for i in range(16):
@@ -37,9 +39,33 @@ def test_bound_c_batch_matches_closed_forms():
             elif spec.strategy == "bounded-denoiser":
                 # (b r + max(||x||, ||x~||)) / (r^2 sigma^2) ||v||, b = 0
                 want = max(norm(x), norm(xt)) / (r * r * sigma * sigma) * v
+            elif spec.strategy == "lipschitz-sharp":
+                # (L'^2 - D^2) / (2 L') + 1e-12 (|f0| + |f1| + L') with
+                # L' = 2 ||v||^2 (a declared L above the true 1/var, so the
+                # remainder bound is not 0) and D = f1 - f0 = -||v||^2 / var
+                lip_v, slope = 2.0 * v ** 2, -v ** 2 / var
+                f0_i, f1_i = -x @ (xt - x) / var, -xt @ (xt - x) / var
+                want = ((lip_v ** 2 - slope ** 2) / (2.0 * lip_v)
+                        + 1e-12 * (abs(f0_i) + abs(f1_i) + lip_v))
             else:
                 want = 50.0
             assert batch[i] == pytest.approx(want, rel=1e-12)
+
+
+@given(st.lists(st.integers(0, 5), max_size=40), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=100, deadline=None)
+def test_segment_products_are_left_to_right_loops(counts, seed):
+    counts = np.array(counts, dtype=np.int64)
+    factors = np.random.default_rng(seed).uniform(size=int(counts.sum()))
+    want, pos = [], 0
+    for count in counts:
+        prod = 1.0
+        for f in factors[pos:pos + count]:
+            prod *= f
+        want.append(prod)
+        pos += count
+    got = engine._segment_products(factors, counts)
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 def test_log_h_batch_matches_closed_form():
@@ -284,11 +310,11 @@ def _spy_rounds(monkeypatch, decided, calls=None, oracle_for=None):
     real = engine._two_coin_rounds
 
     def spy(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds, round_limit=None,
-            chains=None):
+            chains=None, *, base=None):
         if oracle_for is not None:
             oracle = oracle_for(Xa, Va, chains, oracle)
         out = real(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
-                   round_limit=round_limit, chains=chains)
+                   round_limit=round_limit, chains=chains, base=base)
         if calls is not None:
             calls.append(int(out[1].max()))
         undecided = np.zeros(len(chains), dtype=bool)
@@ -367,12 +393,12 @@ def test_two_coin_steps_name_the_stuck_chain_and_its_own_sweep(monkeypatch):
     X = rng.standard_normal((3, 1))
     decided = np.zeros(3, dtype=np.int64)
     _spy_rounds(monkeypatch, decided)
-    # at h = 0.02 the sharp envelope decides nearly every proposal in its
+    # at h = 0.02 the plain envelope decides nearly every proposal in its
     # first round, so the first decision to need a second comes steps in
+    # (the sharp route's split decides every Gaussian proposal in one round)
     with pytest.raises(NonterminationError) as info:
-        _two_coin_sweep(X, oracle, rng, h=0.02,
-                        bound=BoundSpec("lipschitz-sharp"), steps=1000,
-                        max_rounds=1)
+        _two_coin_sweep(X, oracle, rng, h=0.02, bound=BoundSpec("lipschitz"),
+                        steps=1000, max_rounds=1)
     err = info.value
     assert f"first stuck chain {err.chain}" in str(err)
     # the sweep is the stuck chain's own: the decisions it made before
