@@ -11,7 +11,12 @@ kept the output byte for byte:
 The cases are every corrector kind through ``engine.corrector_sweep`` (5
 steps of 3000 chains; samples, scores, every ``SweepStats`` field and the
 generator state) and ``run_pc`` on eight small preset configurations
-(samples, the flat config and the report without its wall time).
+(samples, the flat config and the report without its wall time).  On a
+target whose line integrand is not affine (score -x + 0.8 sin x), so that
+the Poisson products draw factors, they are also two-coin and hybrid sweeps
+on the ``lipschitz-sharp`` and ``lipschitz`` envelopes (5 steps of 1000
+chains), and both replicate samplers of ``madm.adjust_exact`` on one fixed
+proposal, with and without a baseline.
 ``madm`` is imported from ``PYTHONPATH`` (or the installed package), never
 looked up beside this file.
 """
@@ -24,12 +29,13 @@ import sys
 import numpy as np
 
 from madm import engine
+from madm.adjust_exact import poisson_w_replicates, two_coin_replicates
 from madm.adjust_quadrature import simpson13
 from madm.config import apply_overrides, preset_run_config
 from madm.engine import BoundSpec
 from madm.sampler import run_pc
 from madm.schedule import NoiseSchedule
-from madm.targets import gaussian_oracle
+from madm.targets import ScoreOracle, gaussian_oracle
 
 SWEEP_KINDS = ("ula", "two-coin", "quadrature", "hybrid", "oracle-mh")
 
@@ -44,6 +50,11 @@ RUNS = {
                                                    "run.threads=2"]),
     "spiral": ("spiral", []),
 }
+
+RIPPLED_SWEEPS = [(kind, route) for kind in ("two-coin", "hybrid")
+                  for route in ("lipschitz-sharp", "lipschitz")]
+REPLICATES = [(sampler, line) for sampler in ("w", "two-coin")
+              for line in ("baseline", "no-baseline")]
 
 # shrink each preset to a few seconds of work
 SMALL = {
@@ -74,6 +85,49 @@ def sweep_case(kind: str) -> str:
                    rng.bit_generator.state)
 
 
+def rippled_oracle(a=0.8) -> ScoreOracle:
+    """Score -x + a sin x, so L = 1 + a and the line integrand bends."""
+    return ScoreOracle(dim=1, score_fn=lambda x, t: -x + a * np.sin(x),
+                       lipschitz=1.0 + a, name="rippled")
+
+
+def rippled_sweep_case(kind: str, route: str) -> str:
+    # the cap lets every hybrid row with 2C <= 60 try its exact rounds
+    oracle = rippled_oracle()
+    rng = np.random.default_rng(2025)
+    X = rng.standard_normal((1000, 1))
+    X, S, stats = engine.corrector_sweep(
+        X, oracle.score(X, 1.0), oracle, 1.0, 0.2, kind, rng,
+        schedule=NoiseSchedule.edm(), bound=BoundSpec(route),
+        rule=simpson13(), hybrid_rounds=3, poisson_cap=60.0, steps=5)
+    return _digest(X.tobytes(), S.tobytes(), dataclasses.asdict(stats),
+                   rng.bit_generator.state)
+
+
+def replicate_case(sampler: str, line: str) -> str:
+    # one fixed proposal -0.4 -> 1.1; the baseline is the line through its
+    # endpoint integrands with the sharp route's C, the other the plain C
+    oracle = rippled_oracle()
+    X, Xt = np.array([[-0.4]]), np.array([[1.1]])
+    S, St = oracle.score(X, 1.0), oracle.score(Xt, 1.0)
+    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, 0.5)
+    route = "lipschitz-sharp" if line == "baseline" else "lipschitz"
+    C = float(engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0,
+                                   BoundSpec(route), NoiseSchedule.edm(),
+                                   oracle)[0])
+    kw = ({"baseline": (float(f0[0]), float(f1[0] - f0[0]))}
+          if line == "baseline" else {})
+    rng = np.random.default_rng(2026)
+    if sampler == "w":
+        out = {"w": poisson_w_replicates(X[0], V[0], C, 1.0, oracle, rng,
+                                         20_000, **kw)}
+    else:
+        out = two_coin_replicates(X[0], V[0], C, 1.0, float(logH[0]), oracle,
+                                  rng, 5_000, **kw)
+    return _digest(*(np.asarray(out[k]).tobytes() for k in sorted(out)),
+                   rng.bit_generator.state)
+
+
 def run_case(name: str) -> str:
     preset, overrides = RUNS[name]
     config = apply_overrides(preset_run_config(preset),
@@ -90,6 +144,12 @@ def main() -> int:
         print(f"{sweep_case(kind)}  sweep-{kind}", flush=True)
     for name in RUNS:
         print(f"{run_case(name)}  run-{name}", flush=True)
+    for kind, route in RIPPLED_SWEEPS:
+        print(f"{rippled_sweep_case(kind, route)}  rippled-{kind}-{route}",
+              flush=True)
+    for sampler, line in REPLICATES:
+        print(f"{replicate_case(sampler, line)}  replicates-{sampler}-{line}",
+              flush=True)
     return 0
 
 

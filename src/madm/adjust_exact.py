@@ -16,12 +16,14 @@ probability alpha' = (1 + H e^C)^{-1}, otherwise accepts with probability W,
 otherwise restarts; rounds are geometric with success (1 + Hr)/(1 + H e^C)
 and the expected number of interior score queries is 2 C H e^C / (1 + Hr).
 
-An affine split (the ``lipschitz-sharp`` route) writes the integrand as
-f = l + g with l(u) = a + b u, the line through f(0) and f(1).  Its integral
-E = a + b/2 is exact and joins H, and the Poisson product runs on g with C
-bounding |g| only: e^C E[W] = r e^{-E}, the acceptance is still
-H r / (1 + H r), and :func:`expected_rounds` and :func:`expected_queries`
-apply with H e^E in place of H, r e^{-E} in place of r, and the remainder's C.
+Every envelope is an affine split: the integrand is written f = l + g with
+l(u) = a + b u a line whose integral E = a + b/2 is exact and joins H, and
+the Poisson product runs on g with C bounding |g| only, so e^C E[W] =
+r e^{-E} and the acceptance is still H r / (1 + H r).  :func:`expected_rounds`
+and :func:`expected_queries` apply with H e^E in place of H, r e^{-E} in
+place of r, and the remainder's C.  The ``lipschitz-sharp`` route takes the
+line through f(0) and f(1); every other route takes the zero line (E = 0),
+for which the formulas above hold as written.
 
 The decisions and the envelope C run in :mod:`madm.engine`; this module
 holds the closed-form costs and the replicate samplers that the
@@ -69,8 +71,9 @@ def _check_cost_args(C, H, r):
 # broadcast copies of its row, so replicate i is reported as chain i.
 # ---------------------------------------------------------------------------
 
-def _replicate_rows(x, v, C: float, n: int):
-    """(x, v, C) as read-only views of n identical rows."""
+def _replicate_rows(x, v, C: float, baseline, n: int):
+    """(x, v, C) and the line (a, b) as read-only views of n identical
+    rows."""
     _check_c(C)
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     if x.ndim != 1 or x.shape != v.shape:
@@ -78,50 +81,43 @@ def _replicate_rows(x, v, C: float, n: int):
                           f"{x.shape} and {v.shape}")
     d = x.shape[0]
     return (np.broadcast_to(x, (n, d)), np.broadcast_to(v, (n, d)),
-            np.broadcast_to(float(C), (n,)))
-
-
-def _replicate_base(baseline, n: int):
-    """The line (a, b) as n broadcast rows, or None without a split."""
-    if baseline is None:
-        return None
-    return tuple(np.broadcast_to(float(part), (n,)) for part in baseline)
+            np.broadcast_to(float(C), (n,)),
+            tuple(np.broadcast_to(float(part), (n,)) for part in baseline))
 
 
 def poisson_w_replicates(x, v, C: float, t: float, oracle: ScoreOracle,
                          rng: np.random.Generator, n: int, *,
-                         baseline=None) -> np.ndarray:
+                         baseline=(0.0, 0.0)) -> np.ndarray:
     """n independent draws of W for the proposal x -> x + v (batched).
 
-    With ``baseline = (a, b)`` the factors run on the remainder
-    f(u) - a - b u, which C must bound, and e^C E[W] = r e^{-(a + b/2)}.
+    The factors run on the remainder f(u) - a - b u after the line
+    ``baseline = (a, b)``, which C must bound, and e^C E[W] = r e^{-(a + b/2)};
+    the default zero line leaves the integrand f itself.
     """
-    X, V, C_rows = _replicate_rows(x, v, C, n)
+    X, V, C_rows, base = _replicate_rows(x, v, C, baseline, n)
     counts = rng.poisson(2.0 * C_rows)
     return engine._factor_products(X, V, C_rows, np.arange(n), counts, t,
-                                   oracle, rng,
-                                   base=_replicate_base(baseline, n))
+                                   oracle, rng, base=base)
 
 
 def two_coin_replicates(x, v, C: float, t: float, log_h: float,
                         oracle: ScoreOracle, rng: np.random.Generator, n: int,
                         max_rounds: int = DEFAULT_MAX_ROUNDS, *,
-                        baseline=None) -> dict:
+                        baseline=(0.0, 0.0)) -> dict:
     """n independent two-coin decisions for the proposal x -> x + v whose
     proposal log-ratio is ``log_h`` (batched).
 
     Returns arrays: ``accept`` (bool), ``rounds``, ``poisson_total`` and the
     scalar total of interior score queries.  Each frame runs from x, without
     the direction swap of :func:`madm.engine.corrector_sweep`; both have
-    Barker's acceptance law.  With ``baseline = (a, b)`` the decisions run
-    the affine split: the W-coin on the remainder f(u) - a - b u, which C
-    must bound, and the line's integral a + b/2 added to ``log_h``.
+    Barker's acceptance law.  The decisions run the affine split after the
+    line ``baseline = (a, b)``: the W-coin on the remainder f(u) - a - b u,
+    which C must bound, and the line's integral a + b/2 added to ``log_h``.
+    The default zero line leaves the whole integrand and ``log_h``.
     """
     queries_before = oracle.queries
-    X, V, C_rows = _replicate_rows(x, v, C, n)
-    base = _replicate_base(baseline, n)
-    if base is not None:
-        log_h = log_h + baseline[0] + 0.5 * baseline[1]
+    X, V, C_rows, base = _replicate_rows(x, v, C, baseline, n)
+    log_h = log_h + baseline[0] + 0.5 * baseline[1]
     log_h_rows = np.broadcast_to(float(log_h), (n,))
     accept, rounds, poisson, _ = engine._two_coin_rounds(
         X, V, log_h_rows, C_rows, t, oracle, rng, max_rounds, base=base)

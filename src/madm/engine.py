@@ -27,16 +27,18 @@ The two-coin decision may run each pair in whichever direction is cheaper
 reversed decision leaves the law unchanged while taming the e^{log H}
 factor in the round count).
 
-The ``lipschitz-sharp`` envelope is an affine split: the line through the
-endpoint integrands f(0) and f(1) integrates exactly, its integral E joins
-log H, and C bounds only the remainder, so the factory's cost is that of
-H e^E and the remainder's C (0 on Gaussian targets).  Every other envelope
-bounds the whole integrand, with E = 0 and no line to subtract.
+Every envelope is an affine split: a line l(u) = a + b u is subtracted from
+the integrand, its exact integral E joins log H, and C bounds the remainder,
+so the factory's cost is that of H e^E and the remainder's C.
+:func:`_envelope_line` picks the line: the ``lipschitz-sharp`` route takes
+the one through the endpoint integrands f(0) and f(1) (its remainder's C is
+0 on Gaussian targets), every other route the zero line, so its C bounds
+the whole integrand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -118,14 +120,12 @@ class SweepStats:
     max_rounds: int = 0
 
     def merge(self, other: "SweepStats") -> None:
-        self.proposals += other.proposals
-        self.accepted += other.accepted
-        self.rounds_total += other.rounds_total
-        self.poisson_total += other.poisson_total
-        self.score_queries += other.score_queries
-        self.jump_sq_total += other.jump_sq_total
-        self.round_passes += other.round_passes
-        self.max_rounds = max(self.max_rounds, other.max_rounds)
+        """Add ``other`` in: the ``max_*`` fields keep the larger value,
+        every other field sums."""
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name, max(mine, theirs)
+                    if f.name.startswith("max_") else mine + theirs)
 
 
 def _chain_of(row, chains=None) -> int:
@@ -172,7 +172,8 @@ def _segment_products(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
                   schedule: NoiseSchedule, oracle: ScoreOracle,
                   chains=None) -> np.ndarray:
-    """Row-wise envelope C(x, x_tilde) dominating the line integrand.
+    """Row-wise envelope C(x, x_tilde) on the line integrand's remainder
+    after :func:`_envelope_line`: the whole integrand but on the sharp route.
 
     Bounded-denoiser route (Tweedie: the posterior mean of the clean data
     lies in a centred ball of radius b):
@@ -187,8 +188,8 @@ def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
     Sharp Lipschitz route, an affine split: under the same assumption the
     integrand is L' = L ||v||^2 Lipschitz on [0, 1].  The line
     l(u) = f(0) + D u through both endpoint values (D = f(1) - f(0))
-    integrates exactly, to E = (f(0) + f(1)) / 2, which joins log H (see
-    :func:`_affine_split`); C bounds only the remainder g = f - l:
+    integrates exactly, to E = (f(0) + f(1)) / 2, which joins log H; C bounds
+    only the remainder g = f - l:
 
         C = (L'^2 - D^2) / (2 L')
 
@@ -262,11 +263,14 @@ def _remainder_bound(f0, f1, lip_v, chains=None) -> np.ndarray:
     return c + 1e-12 * (np.abs(f0) + np.abs(f1) + lip_v)
 
 
-def _affine_split(f0, f1):
-    """(E, a, b) of the line l(u) = a + b u through the endpoint integrands:
-    a = f(0), b = f(1) - f(0), and E = (f(0) + f(1)) / 2 its exact integral.
-    The sharp route's rounds run on the remainder f - l and add E to log H."""
-    return 0.5 * (f0 + f1), f0, f1 - f0
+def _envelope_line(f0, f1, spec: BoundSpec):
+    """(E, a, b): the line l(u) = a + b u that ``spec``'s C leaves out of the
+    integrand, and its exact integral E, which joins log H.  The sharp
+    route's line runs through f(0) and f(1); every other route's is zero."""
+    if spec.strategy == LIPSCHITZ_SHARP:
+        return 0.5 * (f0 + f1), f0, f1 - f0
+    zero = np.zeros_like(f0)
+    return zero, zero, zero
 
 
 def log_h_batch(V, S, St, h: float) -> np.ndarray:
@@ -278,15 +282,15 @@ def log_h_batch(V, S, St, h: float) -> np.ndarray:
 
 
 def _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains=None,
-                     base=None):
+                     *, base):
     """W draws for the active rows given their Poisson counts.
 
-    Each factor is 1/2 + g(U) / (2C).  Without ``base``, g is the line
-    integrand f itself; with ``base = (a, b)``, arrays aligned with ``C``, it
-    is the remainder f(U) - a - b U of an affine split.
-    Factor rows are scored ``FACTOR_BLOCK`` at a time, each block drawing its
-    uniforms just before its score call; consecutive draws equal one draw of
-    all the uniforms, so the blocking leaves the stream unchanged.
+    Each factor is 1/2 + g(U) / (2C), g(U) = f(U) - a - b U the remainder of
+    the line integrand f after the line ``base = (a, b)``, arrays aligned
+    with ``C`` (zeros leave f itself).  Factor rows are scored
+    ``FACTOR_BLOCK`` at a time, each block drawing its uniforms just before
+    its score call; consecutive draws equal one draw of all the uniforms, so
+    the blocking leaves the stream unchanged.
     ``chains`` maps rows to the chain numbers that errors report.
     """
     rep = np.repeat(active, counts)
@@ -297,9 +301,8 @@ def _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains=None,
         v = _take_rows(Va, rows)
         pts = _take_rows(Xa, rows) + u[:, None] * v
         integrands = _row_dot(oracle.score(pts, t), v)
-        if base is not None:
-            a, b = (_take_rows(part, rows) for part in base)
-            integrands -= a + b * u
+        a, b = (_take_rows(part, rows) for part in base)
+        integrands -= a + b * u
         block = 0.5 + integrands / (2.0 * _take_rows(C, rows))
         # min and max propagate NaN, which fails both comparisons
         if not (block.min() >= -FACTOR_TOLERANCE
@@ -319,12 +322,12 @@ def _envelope_error(block, integrands, rows, C, chains):
         raise _at_chain(
             NonFiniteError(f"non-finite interior score at chain {chain}"), chain)
     raise _at_chain(BoundViolationError(
-        f"line integrand {integrands[i]:.6g} escapes the envelope "
-        f"C={C[row]:.6g} at chain {chain}"), chain)
+        f"line integrand's remainder {integrands[i]:.6g} escapes the "
+        f"envelope C={C[row]:.6g} at chain {chain}"), chain)
 
 
 def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
-                     round_limit=None, chains=None, *, base=None):
+                     round_limit=None, chains=None, *, base):
     """Masked two-coin rounds; returns per-row frame outcomes.
 
     Each round rejects outright with probability alpha' = (1 + H e^C)^{-1},
@@ -332,10 +335,10 @@ def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
     ``round_limit`` caps the number of rounds without treating the cap as an
     error (hybrid use); rows still undecided are reported in the fourth
     return value.  Without it, exhausting ``max_rounds`` raises.  ``chains``
-    maps rows to the chain numbers that errors report.  With an affine split
-    the W-coin runs on the remainder after the per-row line ``base = (a, b)``
-    (see :func:`_factor_products`), ``C`` bounds that remainder and
-    ``log_h_a`` already holds log H + E.
+    maps rows to the chain numbers that errors report.  The W-coin runs on
+    the remainder after each row's line ``base = (a, b)`` (see
+    :func:`_factor_products`), ``C`` bounds that remainder and ``log_h_a``
+    already holds log H + E.
     """
     n = Xa.shape[0]
     alpha_prime = expit(-(log_h_a + C))
@@ -353,7 +356,7 @@ def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
         counts = rng.poisson(2.0 * _take_rows(C, active), size=active.size)
         poisson[active] += counts
         w = _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains,
-                             base)
+                             base=base)
         accept_now = rng.uniform(size=active.size) <= w
         frame_accept[active[accept_now]] = True
         active = active[~accept_now]
@@ -381,29 +384,26 @@ def _endpoint_terms(X, Xt, S, St, h):
     return V, _row_dot(S, V), _row_dot(St, V), log_h_batch(V, S, St, h)
 
 
-def _swap_rows(f0, f1, logH, exact=None):
+def _swap_rows(f0, f1, logH, exact):
     """Rows cheaper to decide from x_tilde: log H + 2E above the trapezoid
-    estimate (f(0) + f(1)) / 2 of log r, where ``exact`` is the part E split
-    off the integrand (none: E = 0).  With the affine split E is that
-    estimate, and the rule reads H e^E > 1."""
-    if exact is not None:
-        logH = logH + 2.0 * exact
-    return logH > 0.5 * (f0 + f1)
+    estimate (f(0) + f(1)) / 2 of log r, where ``exact`` is the integral E
+    of the envelope's line.  On the sharp route E is that estimate, and the
+    rule reads H e^E > 1."""
+    return logH + 2.0 * exact > 0.5 * (f0 + f1)
 
 
 def _decision_frame(X, Xt, V, logH, swap):
     """(start, direction, log H) of each row's two-coin decision.  The
     ``swap`` rows run from x_tilde back to x; their callers negate the
-    decision the round loop returns for them.  With an affine split,
-    ``logH`` holds log H + E, whose sign flips with the direction too."""
+    decision the round loop returns for them.  ``logH`` holds log H + E,
+    whose sign flips with the direction too."""
     return (np.where(swap[:, None], Xt, X), np.where(swap[:, None], -V, V),
             np.where(swap, -logH, logH))
 
 
 def _frame_baseline(a, b, swap):
-    """The line a + b u of an affine split, seen from each row's frame: a
-    swapped row runs u' = 1 - u along -v, where the line reads
-    (-a - b) + b u'."""
+    """The envelope's line a + b u seen from each row's frame: a swapped
+    row runs u' = 1 - u along -v, where the line reads (-a - b) + b u'."""
     return np.where(swap, -a - b, a), b
 
 
@@ -440,17 +440,17 @@ def _quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng, rows=None):
     return np.log(rng.uniform(size=log_alpha.size)) <= log_alpha
 
 
-def _hybrid_accept(X, V, f0, f1, logH, C, t, rule, oracle, rng,
-                   hybrid_rounds, max_rounds, poisson_cap, split=False):
+def _hybrid_accept(X, V, f0, f1, logH, C, line, t, rule, oracle, rng,
+                   hybrid_rounds, max_rounds, poisson_cap):
     """At most ``hybrid_rounds`` exact rounds, then the quadrature fallback.
 
     Rows with 2C above ``poisson_cap``, and every row when
-    ``hybrid_rounds`` is 0, skip the exact rounds.  With ``split`` (the
-    sharp route) C bounds the remainder of the affine split, and the exact
-    rounds run on it with E added to log H; the fallback keeps log H, f(0)
-    and f(1).  Returns the decisions, the rounds per row (the fallback
-    counts as one), the Poisson totals per row and the rows the fallback
-    decided.
+    ``hybrid_rounds`` is 0, skip the exact rounds.  ``line = (E, a, b)``
+    holds each row's :func:`_envelope_line`: C bounds the remainder after
+    it, and the exact rounds run on that remainder with E added to log H;
+    the fallback keeps log H, f(0) and f(1).  Returns the decisions, the
+    rounds per row (the fallback counts as one), the Poisson totals per row
+    and the rows the fallback decided.
     """
     n = X.shape[0]
     accept = np.zeros(n, dtype=bool)
@@ -460,13 +460,10 @@ def _hybrid_accept(X, V, f0, f1, logH, C, t, rule, oracle, rng,
     fallback = np.flatnonzero(~exact)
     if np.any(exact):
         rows = np.flatnonzero(exact)
-        log_h, base = logH[rows], None
-        if split:
-            e, a, b = _affine_split(f0[rows], f1[rows])
-            log_h, base = log_h + e, (a, b)
+        e, a, b = (part[rows] for part in line)
         frame_accept, rounds[rows], poisson[rows], still = _two_coin_rounds(
-            X[rows], V[rows], log_h, C[rows], t, oracle, rng,
-            max_rounds, round_limit=hybrid_rounds, chains=rows, base=base)
+            X[rows], V[rows], logH[rows] + e, C[rows], t, oracle, rng,
+            max_rounds, round_limit=hybrid_rounds, chains=rows, base=(a, b))
         # rows still undecided are overwritten by the fallback below
         accept[rows] = frame_accept
         fallback = np.concatenate([fallback, rows[still]])
@@ -477,8 +474,8 @@ def _hybrid_accept(X, V, f0, f1, logH, C, t, rule, oracle, rng,
     return accept, rounds, poisson, fallback
 
 
-def _decide_at_once(kind, X, Xt, V, f0, f1, logH, C, t, rule, oracle, rng,
-                    hybrid_rounds, max_rounds, poisson_cap, split):
+def _decide_at_once(kind, X, Xt, V, f0, f1, logH, C, line, t, rule, oracle,
+                    rng, hybrid_rounds, max_rounds, poisson_cap):
     """Decisions for every kind but two-coin, one per row of the arrays.
 
     Returns the accept flags, the rounds per row (0 for ula, 1 for an MH
@@ -498,8 +495,8 @@ def _decide_at_once(kind, X, Xt, V, f0, f1, logH, C, t, rule, oracle, rng,
         return (_quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng),
                 ones, zeros, 0)
     accept, rounds, poisson, fallback = _hybrid_accept(
-        X, V, f0, f1, logH, C, t, rule, oracle, rng, hybrid_rounds,
-        max_rounds, poisson_cap, split)
+        X, V, f0, f1, logH, C, line, t, rule, oracle, rng, hybrid_rounds,
+        max_rounds, poisson_cap)
     # iterations of the exact loop: the rounds without the fallback's
     exact_rounds = rounds.copy()
     exact_rounds[fallback] -= 1
@@ -535,20 +532,28 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
     """
     if kind not in CORRECTOR_KINDS or kind == "none":
         raise ConfigError(f"unsupported corrector kind {kind!r}")
+    if kind in ("two-coin", "hybrid") and bound is None:
+        raise ConfigError(f"corrector kind {kind!r} needs a bound")
+    if kind in ("quadrature", "hybrid") and rule is None:
+        raise ConfigError(f"corrector kind {kind!r} needs a quadrature rule")
+    if (kind in ("two-coin", "hybrid") and schedule is None
+            and bound.strategy == BOUNDED_DENOISER):
+        raise ConfigError("the bounded-denoiser bound needs a noise schedule")
     if not (np.isfinite(h) and h > 0.0):
         raise DomainError(f"corrector step h must be finite and > 0, got {h}")
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if (isinstance(steps, bool) or not isinstance(steps, (int, np.integer))
+            or steps < 1):
+        raise ConfigError(f"steps must be an integer >= 1, got {steps!r}")
+    if np.ndim(X) != 2 or np.shape(S) != np.shape(X):
+        raise DomainError(f"X must be 2-D and S of its shape, got shapes "
+                          f"{np.shape(X)} and {np.shape(S)}")
     n, d = X.shape
     X, S = X.copy(), S.copy()
     Xt, St, V, Xa = (np.empty_like(X) for _ in range(4))
-    f0, f1, logH, C = (np.empty(n) for _ in range(4))
+    # E, A, B: each row's envelope line; two-coin keeps the line (A, B) in
+    # the row's decision frame and E inside logH
+    f0, f1, logH, C, E, A, B = (np.empty(n) for _ in range(7))
     swap = np.zeros(n, dtype=bool)
-    # the sharp route splits off each integrand's line; two-coin keeps the
-    # line (a, b) of every row in its decision frame
-    split = bound is not None and bound.strategy == LIPSCHITZ_SHARP
-    if split and kind == "two-coin":
-        A, B = np.empty(n), np.empty(n)
     pending = np.zeros(n, dtype=bool)
     done = np.zeros(n, dtype=np.int64)     # steps each chain has finished
     rounds = np.zeros(n, dtype=np.int64)   # rounds of each pending decision
@@ -571,15 +576,13 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                     if kind in ("two-coin", "hybrid"):
                         C[free] = bound_c_batch(x, xt, s, st, v, e0, e1, t,
                                                 bound, schedule, oracle, free)
-                    if kind == "two-coin":
-                        if split:
-                            e, a, b = _affine_split(e0, e1)
+                        e, a, b = _envelope_line(e0, e1, bound)
+                        if kind == "two-coin":
                             swap[free] = sw = _swap_rows(e0, e1, lh, e)
-                            A[free], B[free] = _frame_baseline(a, b, sw)
-                            lh = lh + e
-                        else:
-                            swap[free] = sw = _swap_rows(e0, e1, lh)
-                        Xa[free], v, lh = _decision_frame(x, xt, v, lh, sw)
+                            a, b = _frame_baseline(a, b, sw)
+                            Xa[free], v, lh = _decision_frame(
+                                x, xt, v, lh + e, sw)
+                        E[free], A[free], B[free] = e, a, b
                     V[free], f0[free], f1[free], logH[free] = v, e0, e1, lh
                 rounds[free] = 0
                 pending[free] = True
@@ -598,7 +601,7 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                     Xa.take(active, axis=0), V.take(active, axis=0),
                     logH[active], C[active], t, oracle, rng, max_rounds,
                     round_limit=limit, chains=active,
-                    base=(A[active], B[active]) if split else None)
+                    base=(A.take(active), B.take(active)))
                 rounds[active] += ran
                 if still.size:
                     stuck = still[rounds[active[still]] >= max_rounds]
@@ -614,8 +617,8 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                 # every chain proposed in this pass, so the rows are the chains
                 rows = active
                 accept, took, poisson, passes = _decide_at_once(
-                    kind, X, Xt, V, f0, f1, logH, C, t, rule, oracle, rng,
-                    hybrid_rounds, max_rounds, poisson_cap, split)
+                    kind, X, Xt, V, f0, f1, logH, C, (E, A, B), t, rule,
+                    oracle, rng, hybrid_rounds, max_rounds, poisson_cap)
             stats.round_passes += passes
             stats.poisson_total += int(poisson.sum())
             moved = rows[accept]

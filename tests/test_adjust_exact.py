@@ -217,11 +217,13 @@ def test_two_coin_swap_direction_preserves_the_law():
     V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, 0.5)
     # the sweep's own rule picks the reversed direction on this fixture:
     # log H = 0.4375 > (f(0) + f(1)) / 2 = -0.5
-    swap = engine._swap_rows(f0, f1, logH)
+    zero = np.zeros(n)   # the line of a whole-integrand envelope
+    swap = engine._swap_rows(f0, f1, logH, zero)
     assert swap.all()
     frame_accept, _, _, _ = engine._two_coin_rounds(
         *engine._decision_frame(X, Xt, V, logH, swap), np.full(n, 1.5), p.t,
-        oracle, np.random.default_rng(7), engine.DEFAULT_MAX_ROUNDS)
+        oracle, np.random.default_rng(7), engine.DEFAULT_MAX_ROUNDS,
+        base=(zero, zero))
     accept = frame_accept ^ swap
     alpha = expit(p.log_h + np.log(R_FIXTURE))
     hits = accept.sum()

@@ -207,7 +207,9 @@ def test_oracle_mh_requires_log_density():
 
 def _hybrid(p, oracle, C, K, rng, n):
     X, V, f0, f1, logH = broadcast_rows(p, n)
-    return engine._hybrid_accept(X, V, f0, f1, logH, np.full(n, C), p.t,
+    zero = np.zeros(n)   # the line of a whole-integrand envelope
+    return engine._hybrid_accept(X, V, f0, f1, logH, np.full(n, C),
+                                 (zero, zero, zero), p.t,
                                  simpson13(), oracle, rng, K,
                                  engine.DEFAULT_MAX_ROUNDS,
                                  engine.HYBRID_POISSON_CAP)

@@ -177,7 +177,7 @@ def test_split_decisions_run_in_the_cheaper_frame_with_their_own_line(
     X = rippled_draws(rng, 4000)
     real, seen = engine._two_coin_rounds, []
 
-    def spy(Xa, Va, log_h_a, C, *args, base=None, **kw):
+    def spy(Xa, Va, log_h_a, C, *args, base, **kw):
         seen.append((Xa.copy(), Va.copy(), log_h_a.copy(), C.copy(), base))
         return real(Xa, Va, log_h_a, C, *args, base=base, **kw)
 

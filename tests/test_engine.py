@@ -220,9 +220,10 @@ def test_hybrid_bound_violation_names_the_chain():
                              BoundSpec("lipschitz", 0.1), sched, oracle)
     assert C[:3] == pytest.approx(9.01, abs=0.01)
     assert C[3] == pytest.approx(0.8, rel=1e-9)
+    zero = np.zeros(4)   # the lipschitz route's line
     with pytest.raises(BoundViolationError, match="at chain 3$"):
-        engine._hybrid_accept(X, V, f0, f1, logH, C, 0.5, simpson13(), oracle,
-                              np.random.default_rng(0), 10,
+        engine._hybrid_accept(X, V, f0, f1, logH, C, (zero, zero, zero), 0.5,
+                              simpson13(), oracle, np.random.default_rng(0), 10,
                               engine.DEFAULT_MAX_ROUNDS,
                               engine.HYBRID_POISSON_CAP)
 
@@ -271,10 +272,12 @@ def test_two_coin_rounds_same_on_broadcast_and_copied_rows():
     x, v = np.array([0.5, 1.0]), np.array([-0.3, -0.4])
     n = 2000
     views = (np.broadcast_to(x, (n, 2)), np.broadcast_to(v, (n, 2)),
-             np.broadcast_to(-0.2, (n,)), np.broadcast_to(1.1, (n,)))
+             np.broadcast_to(-0.2, (n,)), np.broadcast_to(1.1, (n,)),
+             np.broadcast_to(0.0, (n,)), np.broadcast_to(0.0, (n,)))
     copies = tuple(np.array(a) for a in views)
-    out = [engine._two_coin_rounds(*rows, 1.0, oracle,
-                                   np.random.default_rng(19), 1000)
+    out = [engine._two_coin_rounds(*rows[:4], 1.0, oracle,
+                                   np.random.default_rng(19), 1000,
+                                   base=rows[4:])
            for rows in (views, copies)]
     for a, b in zip(*out):
         np.testing.assert_array_equal(a, b)
@@ -310,7 +313,7 @@ def _spy_rounds(monkeypatch, decided, calls=None, oracle_for=None):
     real = engine._two_coin_rounds
 
     def spy(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds, round_limit=None,
-            chains=None, *, base=None):
+            chains=None, *, base):
         if oracle_for is not None:
             oracle = oracle_for(Xa, Va, chains, oracle)
         out = real(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
@@ -341,10 +344,11 @@ def test_one_two_coin_step_is_the_lockstep_sweep():
     V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
     C = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0, spec, sched,
                              oracle)
-    swap = engine._swap_rows(f0, f1, logH)
+    zero = np.zeros(X.shape[0])   # the lipschitz route's line
+    swap = engine._swap_rows(f0, f1, logH, zero)
     frame_accept, rounds, poisson, _ = engine._two_coin_rounds(
         *engine._decision_frame(X, Xt, V, logH, swap), C, 1.0, oracle, rng,
-        engine.DEFAULT_MAX_ROUNDS)
+        engine.DEFAULT_MAX_ROUNDS, base=(zero, zero))
     accept = frame_accept ^ swap
     np.testing.assert_array_equal(Xn, np.where(accept[:, None], Xt, X))
     np.testing.assert_array_equal(Sn, np.where(accept[:, None], St, S))
@@ -475,6 +479,49 @@ def test_sweep_rejects_fewer_than_one_step(kind):
     queries, state = oracle.queries, rng.bit_generator.state
     with pytest.raises(ConfigError, match="steps"):
         _sweep(X, X, oracle, kind, rng, steps=0)
+    assert oracle.queries == queries
+    assert rng.bit_generator.state == state
+
+
+BAD_SWEEP_INPUTS = {
+    "two-coin-without-bound": ("two-coin", {"bound": None}, ConfigError,
+                               "needs a bound"),
+    "hybrid-without-bound": ("hybrid", {"bound": None}, ConfigError,
+                             "needs a bound"),
+    "quadrature-without-rule": ("quadrature", {"rule": None}, ConfigError,
+                                "quadrature rule"),
+    "hybrid-without-rule": ("hybrid", {"rule": None}, ConfigError,
+                            "quadrature rule"),
+    "denoiser-bound-without-schedule": (
+        "two-coin", {"schedule": None, "bound": BoundSpec("bounded-denoiser")},
+        ConfigError, "noise schedule"),
+    "fractional-steps": ("ula", {"steps": 2.5}, ConfigError, "integer"),
+    "boolean-steps": ("ula", {"steps": True}, ConfigError, "integer"),
+    "fewer-score-rows": ("quadrature", {"S_rows": 3}, DomainError, "shape"),
+    "more-score-rows": ("two-coin", {"S_rows": 5}, DomainError, "shape"),
+    "one-dimensional-states": ("ula", {"flat": True}, DomainError, "2-D"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SWEEP_INPUTS))
+def test_sweep_rejects_bad_inputs_before_any_draw(case):
+    # each of these ended in AttributeError or IndexError after the first
+    # draws, or ran: steps=2.5 made 3 steps and reported 2.5 n proposals,
+    # and surplus score rows were used silently
+    kind, kw, error, match = BAD_SWEEP_INPUTS[case]
+    kw = dict(kw)
+    oracle = gaussian_oracle(0.0, 1.0)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((4, 1))
+    S = oracle.score(np.vstack([X, X])[:kw.pop("S_rows", 4)], 1.0)
+    if kw.pop("flat", False):
+        X, S = X[:, 0], S[:, 0]
+    args = dict(schedule=NoiseSchedule.edm(), bound=BoundSpec("lipschitz"),
+                rule=simpson13())
+    args.update(kw)
+    queries, state = oracle.queries, rng.bit_generator.state
+    with pytest.raises(error, match=match):
+        engine.corrector_sweep(X, S, oracle, 1.0, 0.4, kind, rng, **args)
     assert oracle.queries == queries
     assert rng.bit_generator.state == state
 
