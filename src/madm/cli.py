@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, diagnostics, verify
 from .config import (CORRECTOR_NAMES, PRESETS, RunConfig, apply_overrides,
-                     config_from_dict, config_from_file, expand_preset)
+                     config_from_file, expand_preset, preset_run_config)
 from .errors import ConfigError, MadmError
 from .sampler import run_pc
 from .targets import DATASET_NAMES, dataset_to_csv, generate_dataset
@@ -54,13 +54,7 @@ def _load_run_config(args) -> tuple[RunConfig, str | None]:
     if args.preset and args.config:
         raise ConfigError("give either --preset or --config, not both")
     if args.preset:
-        tree = expand_preset(args.preset)
-        command = tree.pop("command")
-        if command != "sample":
-            raise ConfigError(
-                f"preset {args.preset!r} belongs to the {command!r} command"
-            )
-        cfg = config_from_dict(tree)
+        cfg = preset_run_config(args.preset)
         name = args.preset
     elif args.config:
         cfg = config_from_file(args.config)
@@ -80,8 +74,8 @@ def _load_run_config(args) -> tuple[RunConfig, str | None]:
 
 
 def cmd_sample(args) -> int:
-    out = _out_dir(args)
     cfg, preset = _load_run_config(args)
+    out = _out_dir(args)
     echo = cfg.to_flat_dict()
     if not args.quiet:
         for key in sorted(echo):
@@ -104,11 +98,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    out = _out_dir(args)
     if args.suite not in verify.SUITES:
         print(f"unknown suite {args.suite!r}; valid suites: "
               f"{', '.join(sorted(verify.SUITES))}", file=sys.stderr)
         return 2
+    out = _out_dir(args)
     started = time.perf_counter()
     verdict = verify.run_suite(args.suite, seed=args.seed)
     verdict["wall_time_s"] = time.perf_counter() - started
@@ -204,20 +198,21 @@ def _find_runs(run_dir: Path) -> list[Path]:
 
 
 def cmd_plotdata(args) -> int:
-    out = _out_dir(args)
-    runs = _find_runs(Path(args.run_dir))
-    clouds_written = {}
-    lines = ["run,target,mean_distance,containment_q95"]
-    for run in runs:
+    configs = {}
+    for run in _find_runs(Path(args.run_dir)):
         with open(run / "report.json") as fh:
-            report = json.load(fh)
-        cfg = report["config"]
-        kind = cfg["target.kind"]
-        if kind not in DATASET_NAMES:
+            cfg = json.load(fh)["config"]
+        if cfg["target.kind"] not in DATASET_NAMES:
             raise ConfigError(
                 f"plotdata supports 2D dataset targets, run {run.name} used "
-                f"{kind!r}"
+                f"{cfg['target.kind']!r}"
             )
+        configs[run] = cfg
+    out = _out_dir(args)
+    clouds_written = {}
+    lines = ["run,target,mean_distance,containment_q95"]
+    for run, cfg in configs.items():
+        kind = cfg["target.kind"]
         samples = np.loadtxt(run / "samples.csv", delimiter=",", ndmin=2)
         if kind not in clouds_written:
             cloud = generate_dataset(kind, int(cfg["run.reference_points"]),

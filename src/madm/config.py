@@ -395,6 +395,7 @@ def expand_preset(name: str) -> dict:
 
 def preset_run_config(name: str) -> RunConfig:
     tree = expand_preset(name)
-    if tree.pop("command") != "sample":
-        raise ConfigError(f"preset {name!r} is not a sampling preset")
+    command = tree.pop("command")
+    if command != "sample":
+        raise ConfigError(f"preset {name!r} belongs to the {command!r} command")
     return config_from_dict(tree)

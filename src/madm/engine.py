@@ -108,6 +108,10 @@ class SweepStats:
     ``round_passes`` counts the iterations of the two-coin round loop (each
     pays its Python overhead once for all the rows it serves) and
     ``max_rounds`` is the longest single decision, in rounds.
+
+    The sampler's per-level record (:class:`madm.sampler.LevelRecord`)
+    extends this class, so one :meth:`merge` rule folds a sweep into a level
+    and merges the levels of thread blocks: a counter needs only a field.
     """
 
     proposals: int = 0
@@ -120,9 +124,10 @@ class SweepStats:
     max_rounds: int = 0
 
     def merge(self, other: "SweepStats") -> None:
-        """Add ``other`` in: the ``max_*`` fields keep the larger value,
-        every other field sums."""
-        for f in fields(self):
+        """Add ``other``'s fields in: the ``max_*`` fields keep the larger
+        value, every other field sums.  ``other`` may be a base-class
+        record, whose missing fields leave this one's as they are."""
+        for f in fields(other):
             mine, theirs = getattr(self, f.name), getattr(other, f.name)
             setattr(self, f.name, max(mine, theirs)
                     if f.name.startswith("max_") else mine + theirs)

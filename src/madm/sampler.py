@@ -11,8 +11,14 @@ block.  Each level's K corrector steps run in one call to
 :func:`madm.engine.corrector_sweep`, whose step loop serves every corrector:
 the exact two-coin corrector's chains each run their K steps out of
 lockstep, and the other correctors move all chains one step per pass.
-Runs are fully reproducible from the seed (each thread block draws from its
-own spawned stream, merged in block order).
+Runs are fully reproducible from the seed at a fixed thread count (each
+thread block draws from its own spawned stream, merged in block order).
+
+Each block keeps one :class:`LevelRecord` per level: the sweep's
+:class:`~madm.engine.SweepStats` extended by the predictor's queries and the
+post-burn-in moment sums.  Records merge across blocks under the one
+``SweepStats.merge`` rule, and every per-level stat and query total of the
+report is built from the merged records alone.
 """
 
 from __future__ import annotations
@@ -20,13 +26,13 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import engine
-from .adjust_quadrature import rule_by_name
+from .adjust_quadrature import RULES, rule_by_name
 from .config import RunConfig
 from .engine import BoundSpec
 from .errors import ConfigError, MadmError, NonFiniteError
@@ -176,17 +182,6 @@ def _bound_spec(config: RunConfig, oracle: ScoreOracle) -> BoundSpec:
     return BoundSpec(strategy=name, value=config.corrector.bound_value)
 
 
-_ENGINE_KIND = {
-    "ula": "ula",
-    "two-coin": "two-coin",
-    "hybrid": "hybrid",
-    "oracle-mh": "oracle-mh",
-    "trapezoid": "quadrature",
-    "simpson13": "quadrature",
-    "simpson38": "quadrature",
-}
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -249,27 +244,51 @@ class RunReport:
 
 
 @dataclass
-class _LevelAccumulator:
-    level: _Level
-    corrector_steps: int
-    stats: engine.SweepStats = field(default_factory=engine.SweepStats)
+class LevelRecord(engine.SweepStats):
+    """One level's counters for one block of chains: the corrector's
+    :class:`~madm.engine.SweepStats` plus the predictor's score queries and
+    the post-burn-in moment sums.  Every added field is a sum, so records
+    merge across blocks, and a sweep's stats fold in, under
+    :meth:`~madm.engine.SweepStats.merge`."""
+
     predictor_queries: int = 0
-    moment_count: int = 0
     moment_sum: float = 0.0
     unit_var_sum: float = 0.0
     unit_var_sq: float = 0.0
     units: int = 0
 
-    def merge(self, other: "_LevelAccumulator") -> None:
-        self.stats.merge(other.stats)
-        self.predictor_queries += other.predictor_queries
-        # blocks run the same sweep schedule, so the per-chain draw count is
-        # shared while sums and units pool across chains
-        self.moment_count = max(self.moment_count, other.moment_count)
-        self.moment_sum += other.moment_sum
-        self.unit_var_sum += other.unit_var_sum
-        self.unit_var_sq += other.unit_var_sq
-        self.units += other.units
+
+def _kept_draws(config: RunConfig) -> int:
+    """Corrector draws per chain and level kept after burn-in."""
+    K = config.corrector.steps
+    burn = math.ceil(config.run.burn_in_frac * K) if K > 1 else 0
+    return K - burn
+
+
+def _level_stats(level: _Level, rec: LevelRecord,
+                 config: RunConfig) -> LevelStats:
+    props = max(rec.proposals, 1)
+    post_mean = post_var = post_se = None
+    if rec.units:
+        post_mean = rec.moment_sum / (_kept_draws(config) * rec.units)
+        post_var = rec.unit_var_sum / rec.units
+        if rec.units > 1:
+            # numpy arithmetic: diverged chains give inf, not OverflowError
+            spread = np.maximum(
+                rec.unit_var_sq / rec.units - np.float64(post_var) ** 2, 0.0)
+            post_se = float(np.sqrt(spread / (rec.units - 1)))
+    return LevelStats(
+        t=level.t,
+        corrector_steps=config.corrector.steps,
+        acceptance_rate=rec.accepted / props,
+        mean_rounds=rec.rounds_total / props,
+        mean_queries=rec.score_queries / props,
+        esjd=rec.jump_sq_total / props,
+        predictor_queries=rec.predictor_queries,
+        corrector_queries=rec.score_queries,
+        round_passes=rec.round_passes, max_rounds=rec.max_rounds,
+        post_mean=post_mean, post_var=post_var, post_var_se=post_se,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +302,19 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, oracle: ScoreOracle,
     plan = _level_plan(config, schedule)
     K = config.corrector.steps
     ck = config.corrector.kind
-    engine_kind = None if ck == "none" else _ENGINE_KIND[ck]
-    quad_rule = (rule_by_name(ck) if ck in ("trapezoid", "simpson13", "simpson38")
-                 else rule_by_name(config.corrector.hybrid_rule))
+    engine_kind = (None if ck == "none" else
+                   "quadrature" if ck in RULES else ck)
+    quad_rule = rule_by_name(ck if ck in RULES else
+                             config.corrector.hybrid_rule)
     bound = (_bound_spec(config, oracle)
              if engine_kind in ("two-coin", "hybrid") else None)
-    burn = math.ceil(config.run.burn_in_frac * K) if K > 1 else 0
+    kept = _kept_draws(config)
+    burn = K - kept
 
     X = rng.standard_normal((n_chains, dim))
-    accumulators = []
+    records = []
     for level in plan:
-        acc = _LevelAccumulator(level=level, corrector_steps=K)
+        rec = LevelRecord()
         q_before = oracle.queries
         if level.t_from is not None:
             try:
@@ -301,7 +322,7 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, oracle: ScoreOracle,
             except MadmError as err:
                 err.args = (f"predictor into level t={level.t:.6g}: {err}",)
                 raise
-        acc.predictor_queries = oracle.queries - q_before
+        rec.predictor_queries = oracle.queries - q_before
         if engine_kind is not None and K > 0 and level.t > 0:
             h = _corrector_step_size(config, schedule, level)
             unit_sum, unit_sq = np.zeros_like(X), np.zeros_like(X)
@@ -310,7 +331,7 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, oracle: ScoreOracle,
                 # post-burn-in moments of the chains that just finished a step
                 keep = steps >= burn
                 rows, X_rows = rows[keep], X_rows[keep]
-                acc.moment_sum += float(X_rows.sum())
+                rec.moment_sum += float(X_rows.sum())
                 unit_sum[rows] += X_rows
                 unit_sq[rows] += X_rows * X_rows
 
@@ -318,7 +339,7 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, oracle: ScoreOracle,
                 q_entry = oracle.queries
                 S = oracle.score(X, level.t)
                 engine._require_finite_rows(S, "score")
-                acc.stats.score_queries += oracle.queries - q_entry
+                rec.score_queries += oracle.queries - q_entry
                 X, S, st = engine.corrector_sweep(
                     X, S, oracle, level.t, h, engine_kind, rng,
                     schedule=schedule, bound=bound, rule=quad_rule,
@@ -331,18 +352,16 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, oracle: ScoreOracle,
                 err.args = (f"corrector at level t={level.t:.6g}{at_sweep}: "
                             f"{err}",)
                 raise
-            acc.stats.merge(st)
-            acc.moment_count = max(K - burn, 0)
-            if acc.moment_count >= 2:
+            rec.merge(st)
+            if kept >= 2:
                 # per-(chain, dim) within-chain variance summaries
-                cnt = acc.moment_count
-                mean = unit_sum / cnt
-                var = (unit_sq / cnt - mean ** 2) * cnt / (cnt - 1)
-                acc.unit_var_sum = float(var.sum())
-                acc.unit_var_sq = float((var ** 2).sum())
-                acc.units = var.size
-        accumulators.append(acc)
-    return X, accumulators, oracle.queries
+                mean = unit_sum / kept
+                var = (unit_sq / kept - mean ** 2) * kept / (kept - 1)
+                rec.unit_var_sum = float(var.sum())
+                rec.unit_var_sq = float((var ** 2).sum())
+                rec.units = var.size
+        records.append(rec)
+    return X, records
 
 
 def _predictor_step(X, oracle, schedule, config: RunConfig, level: _Level,
@@ -373,60 +392,31 @@ def run_pc(config: RunConfig) -> RunReport:
     if threads == 1:
         results = [_run_block(config, schedule, base_oracle, n, children[0])]
     else:
+        # one oracle per block: the query counter is not thread-safe
         oracles = [base_oracle.fork() for _ in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_run_block, config, schedule, oracles[i],
                                    sizes[i], children[i])
                        for i in range(threads)]
             results = [f.result() for f in futures]
-        for fork in oracles:
-            base_oracle.absorb(fork)
 
-    samples = np.concatenate([r[0] for r in results], axis=0)
+    samples = np.concatenate([X for X, _ in results], axis=0)
     merged = results[0][1]
-    for _, accs, _ in results[1:]:
-        for into, extra in zip(merged, accs):
+    for _, records in results[1:]:
+        for into, extra in zip(merged, records):
             into.merge(extra)
 
-    per_level = []
-    predictor_total = 0
-    corrector_total = 0
-    for acc in merged:
-        st = acc.stats
-        props = max(st.proposals, 1)
-        post_mean = post_var = post_se = None
-        if acc.units:
-            total_draws = acc.moment_count * acc.units
-            post_mean = acc.moment_sum / max(total_draws, 1)
-            post_var = acc.unit_var_sum / acc.units
-            if acc.units > 1:
-                # numpy arithmetic: diverged chains give inf, not OverflowError
-                spread = np.maximum(
-                    acc.unit_var_sq / acc.units - np.float64(post_var) ** 2, 0.0)
-                post_se = float(np.sqrt(spread / (acc.units - 1)))
-        per_level.append(LevelStats(
-            t=acc.level.t,
-            corrector_steps=acc.corrector_steps,
-            acceptance_rate=st.accepted / props,
-            mean_rounds=st.rounds_total / props,
-            mean_queries=st.score_queries / props,
-            esjd=st.jump_sq_total / props,
-            predictor_queries=acc.predictor_queries,
-            corrector_queries=st.score_queries,
-            round_passes=st.round_passes, max_rounds=st.max_rounds,
-            post_mean=post_mean, post_var=post_var, post_var_se=post_se,
-        ))
-        predictor_total += acc.predictor_queries
-        corrector_total += st.score_queries
-
+    predictor_total = sum(rec.predictor_queries for rec in merged)
+    corrector_total = sum(rec.score_queries for rec in merged)
     report = RunReport(
         samples=samples,
-        per_level=per_level,
+        per_level=[_level_stats(level, rec, config) for level, rec
+                   in zip(_level_plan(config, schedule), merged)],
         seed=config.run.seed,
         chains=n,
         predictor_queries=predictor_total,
         corrector_queries=corrector_total,
-        total_queries=base_oracle.queries,
+        total_queries=predictor_total + corrector_total,
         wall_time=time.perf_counter() - start,
     )
     return report

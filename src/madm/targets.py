@@ -42,8 +42,9 @@ class ScoreOracle:
     the query counter and the per-level constants a target function may
     cache (:func:`diffused_empirical_oracle` does, thread-safely), oracles
     are read-only after construction; parallel chains should either share
-    one oracle (single-threaded lockstep) or work on :meth:`fork` copies
-    whose counters are merged afterwards.
+    one oracle (single-threaded lockstep) or work on :meth:`fork` copies,
+    each with its own counter (the sampler sums its per-level records
+    instead of the counters).
     """
 
     dim: int
@@ -74,10 +75,6 @@ class ScoreOracle:
             lipschitz=self.lipschitz,
             name=self.name,
         )
-
-    def absorb(self, other: "ScoreOracle") -> None:
-        """Merge the query count of a fork back into this oracle."""
-        self.queries += other.queries
 
 
 def gaussian_oracle(mean, variance: float) -> ScoreOracle:

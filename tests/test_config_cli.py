@@ -236,6 +236,25 @@ def test_cli_scaling_bad_grid(tmp_path, capsys):
         assert not out.exists(), bad
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--preset", "scaling"],
+    ["sample", "--preset", "fig1-checkerboard", "--set", "run.chains=0"],
+    ["verify", "no-such-suite"],
+    ["plotdata", "{tmp}/empty"],
+    ["plotdata", "{tmp}/gaussian"],
+], ids=["sample-scaling-preset", "sample-bad-override", "verify-unknown",
+        "plotdata-no-runs", "plotdata-non-dataset-run"])
+def test_cli_config_error_writes_nothing(tmp_path, argv):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "gaussian").mkdir()
+    (tmp_path / "gaussian" / "report.json").write_text(
+        json.dumps({"config": {"target.kind": "gaussian"}}))
+    out = tmp_path / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_cli_plotdata_on_run_pair(tmp_path):
     parent = tmp_path / "runs"
     for name, corrector in (("ula", "ula"), ("madm", "hybrid")):

@@ -589,6 +589,25 @@ def test_sweep_stats_merge_sums_passes_and_keeps_the_longest_decision():
     a.merge(engine.SweepStats(round_passes=5, max_rounds=2))
     assert (a.round_passes, a.max_rounds) == (47, 9)
 
+    # the sampler's level record extends SweepStats and merges by one rule
+    from madm.sampler import LevelRecord
+
+    rec = LevelRecord(round_passes=4, max_rounds=3, predictor_queries=10,
+                      moment_sum=1.5, unit_var_sum=2.0, unit_var_sq=4.0,
+                      units=6)
+    rec.merge(LevelRecord(round_passes=1, max_rounds=8, predictor_queries=5,
+                          moment_sum=-0.5, unit_var_sum=1.0, unit_var_sq=1.0,
+                          units=6))
+    assert (rec.round_passes, rec.max_rounds) == (5, 8)
+    assert (rec.predictor_queries, rec.moment_sum, rec.unit_var_sum,
+            rec.unit_var_sq, rec.units) == (15, 1.0, 3.0, 5.0, 12)
+    # a sweep's plain stats fold in and leave the sampler's fields alone
+    rec.merge(engine.SweepStats(proposals=7, score_queries=21,
+                                round_passes=2, max_rounds=5))
+    assert (rec.proposals, rec.score_queries, rec.round_passes,
+            rec.max_rounds) == (7, 21, 7, 8)
+    assert (rec.predictor_queries, rec.units) == (15, 12)
+
 
 def test_hybrid_reports_round_loop_iterations(monkeypatch):
     oracle = gaussian_oracle(0.0, 1.0)

@@ -133,6 +133,36 @@ def test_run_pc_query_conservation_with_corrector():
     assert report.corrector_queries > 0
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_pc_query_totals_count_every_score_row(monkeypatch, threads):
+    # count the rows at the score function itself, apart from the records
+    # the report sums; list.append is atomic, so the count is thread-safe
+    from madm.config import TargetConfig, apply_overrides, preset_run_config
+
+    build, rows = TargetConfig.build_oracle, []
+
+    def counting(self, schedule):
+        oracle = build(self, schedule)
+        score_fn = oracle.score_fn
+
+        def score(x, t):
+            rows.append(1 if x.ndim == 1 else x.shape[0])
+            return score_fn(x, t)
+
+        oracle.score_fn = score
+        return oracle
+
+    monkeypatch.setattr(TargetConfig, "build_oracle", counting)
+    cfg = apply_overrides(preset_run_config("fig1-checkerboard"),
+                          ["run.chains=40", "target.n_points=60",
+                           "corrector.steps=3", f"run.threads={threads}"])
+    report = run_pc(cfg)
+    assert cfg.corrector.kind == "hybrid"
+    assert report.corrector_queries > 0
+    assert report.total_queries == sum(rows)
+    assert report.predictor_queries + report.corrector_queries == sum(rows)
+
+
 def test_run_pc_deterministic_given_seed():
     cfg = _base_config(corrector={"kind": "two-coin", "steps": 2,
                                   "step_scale": 0.1, "step_rule": "beta",
@@ -286,7 +316,7 @@ def test_run_pc_round_telemetry_merges_across_blocks():
     report = run_pc(cfg)
     schedule = cfg.schedule.build()
     blocks = [_run_block(cfg, schedule, cfg.target.build_oracle(schedule), 32,
-                         child)[1][0].stats
+                         child)[1][0]
               for child in np.random.SeedSequence(31).spawn(2)]
     level = report.summary_dict()["per_level"][0]
     assert level["round_passes"] == sum(b.round_passes for b in blocks) > 0

@@ -53,14 +53,12 @@ def test_query_counter_increments_per_state():
     assert oracle.queries == 8
 
 
-def test_fork_and_absorb():
+def test_fork_counts_its_own_queries():
     oracle = gaussian_oracle(0.0, 1.0)
     oracle.score(np.array([1.0]), 0.0)
     fork = oracle.fork()
     fork.score(np.ones((3, 1)), 0.0)
     assert fork.queries == 3 and oracle.queries == 1
-    oracle.absorb(fork)
-    assert oracle.queries == 4
 
 
 # -- quartic -----------------------------------------------------------------
