@@ -31,7 +31,7 @@ from . import __version__, diagnostics, verify
 from .config import (CORRECTOR_NAMES, PRESETS, RunConfig, apply_overrides,
                      config_from_file, expand_preset, preset_run_config)
 from .errors import ConfigError, MadmError
-from .sampler import run_pc
+from .sampler import run_pc, run_plan
 from .targets import DATASET_NAMES, dataset_to_csv, generate_dataset
 
 VERSION_STRING = f"v{__version__}"
@@ -75,6 +75,7 @@ def _load_run_config(args) -> tuple[RunConfig, str | None]:
 
 def cmd_sample(args) -> int:
     cfg, preset = _load_run_config(args)
+    run_plan(cfg)
     out = _out_dir(args)
     echo = cfg.to_flat_dict()
     if not args.quiet:

@@ -9,23 +9,30 @@ log-ratio (:func:`log_h_batch`), the Newton-Cotes estimate
 array of states, one shared draw per algorithmic event, with masks tracking
 which rows are still undecided.
 
-Every accept/reject decision is made here, by :func:`corrector_sweep` and
-the decision kernels it calls (:func:`_two_coin_rounds`,
-:func:`_quadrature_accept`, :func:`_hybrid_accept`, whose ``fallback`` rows
-record which path decided).  One call runs all K steps of a level in one
-step loop shared by every corrector: each pass proposes for every chain
-whose last decision is made, then decides the pending proposals.  The
-two-coin corrector's round count is geometric with a heavy tail, so it runs
-one round per pass and a chain starts its next step as soon as its own
-decision is made; every other corrector decides all of a pass's proposals
-at once, which moves its chains in lockstep.  The replicate samplers of
+Every accept/reject decision is made here, by :func:`corrector_sweep`.  One
+call runs all K steps of a level in one step loop shared by every corrector:
+each pass proposes for every chain whose last decision is made, then decides
+the pending proposals.  Both exact kinds, two-coin and hybrid, run their
+rounds in one step: :func:`_two_coin_rounds` on each row's decision frame
+(below).  The two-coin corrector's round count is geometric with a heavy
+tail, so it runs one round per pass and a chain starts its next step as soon
+as its own decision is made.  Hybrid runs up to ``hybrid_rounds`` rounds in
+the pass that proposed, for the rows whose Poisson mean 2C is within
+``poisson_cap``.  Every row those rounds leave open under hybrid, and every
+row of the other kinds, is decided at once (:func:`_accept_at_once`), so
+these kinds move their chains in lockstep.  The replicate samplers of
 :mod:`madm.adjust_exact` run the same kernels on broadcast views of one
 fixed proposal, and the verification suites call them on one-row arrays.
 
-The two-coin decision may run each pair in whichever direction is cheaper
-(Barker satisfies alpha(x -> y) = 1 - alpha(y -> x), so negating the
-reversed decision leaves the law unchanged while taming the e^{log H}
-factor in the round count).
+The exact rounds run each pair in the canonical direction of
+:func:`_swap_rows`, the cheaper one (Barker satisfies
+alpha(x -> y) = 1 - alpha(y -> x), so negating the reversed decision leaves
+the law unchanged while taming the e^{log H} factor in the round count).
+The rule is antisymmetric, so a move and its reverse run the same frame:
+hybrid's chance of leaving a row open after its rounds is then the same
+both ways, which keeps its quadrature fallback reversible.  The fallback
+itself decides in the original direction, because MH's acceptance is not
+one minus the reverse move's.
 
 Every envelope is an affine split: a line l(u) = a + b u is subtracted from
 the integrand, its exact integral E joins log H, and C bounds the remainder,
@@ -338,8 +345,9 @@ def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
     Each round rejects outright with probability alpha' = (1 + H e^C)^{-1},
     otherwise accepts with probability W, otherwise restarts.
     ``round_limit`` caps the number of rounds without treating the cap as an
-    error (hybrid use); rows still undecided are reported in the fourth
-    return value.  Without it, exhausting ``max_rounds`` raises.  ``chains``
+    error (one two-coin pass, or hybrid's ``hybrid_rounds``); rows still
+    undecided are reported in the fourth return value.  Without it,
+    exhausting ``max_rounds`` raises.  ``chains``
     maps rows to the chain numbers that errors report.  The W-coin runs on
     the remainder after each row's line ``base = (a, b)`` (see
     :func:`_factor_products`), ``C`` bounds that remainder and ``log_h_a``
@@ -398,10 +406,10 @@ def _swap_rows(f0, f1, logH, exact):
 
 
 def _decision_frame(X, Xt, V, logH, swap):
-    """(start, direction, log H) of each row's two-coin decision.  The
-    ``swap`` rows run from x_tilde back to x; their callers negate the
-    decision the round loop returns for them.  ``logH`` holds log H + E,
-    whose sign flips with the direction too."""
+    """(start, direction, log H) of each row's exact rounds, two-coin's or
+    hybrid's.  The ``swap`` rows run from x_tilde back to x; their callers
+    negate the decision the round loop returns for them.  ``logH`` holds
+    log H + E, whose sign flips with the direction too."""
     return (np.where(swap[:, None], Xt, X), np.where(swap[:, None], -V, V),
             np.where(swap, -logH, logH))
 
@@ -445,67 +453,21 @@ def _quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng, rows=None):
     return np.log(rng.uniform(size=log_alpha.size)) <= log_alpha
 
 
-def _hybrid_accept(X, V, f0, f1, logH, C, line, t, rule, oracle, rng,
-                   hybrid_rounds, max_rounds, poisson_cap):
-    """At most ``hybrid_rounds`` exact rounds, then the quadrature fallback.
-
-    Rows with 2C above ``poisson_cap``, and every row when
-    ``hybrid_rounds`` is 0, skip the exact rounds.  ``line = (E, a, b)``
-    holds each row's :func:`_envelope_line`: C bounds the remainder after
-    it, and the exact rounds run on that remainder with E added to log H;
-    the fallback keeps log H, f(0) and f(1).  Returns the decisions, the
-    rounds per row (the fallback counts as one), the Poisson totals per row
-    and the rows the fallback decided.
-    """
-    n = X.shape[0]
-    accept = np.zeros(n, dtype=bool)
-    rounds = np.zeros(n, dtype=np.int64)
-    poisson = np.zeros(n, dtype=np.int64)
-    exact = (2.0 * C <= poisson_cap) & (hybrid_rounds > 0)
-    fallback = np.flatnonzero(~exact)
-    if np.any(exact):
-        rows = np.flatnonzero(exact)
-        e, a, b = (part[rows] for part in line)
-        frame_accept, rounds[rows], poisson[rows], still = _two_coin_rounds(
-            X[rows], V[rows], logH[rows] + e, C[rows], t, oracle, rng,
-            max_rounds, round_limit=hybrid_rounds, chains=rows, base=(a, b))
-        # rows still undecided are overwritten by the fallback below
-        accept[rows] = frame_accept
-        fallback = np.concatenate([fallback, rows[still]])
-    if fallback.size:
-        accept[fallback] = _quadrature_accept(X, V, f0, f1, logH, t, rule,
-                                              oracle, rng, rows=fallback)
-        rounds[fallback] += 1
-    return accept, rounds, poisson, fallback
-
-
-def _decide_at_once(kind, X, Xt, V, f0, f1, logH, C, line, t, rule, oracle,
-                    rng, hybrid_rounds, max_rounds, poisson_cap):
-    """Decisions for every kind but two-coin, one per row of the arrays.
-
-    Returns the accept flags, the rounds per row (0 for ula, 1 for an MH
-    decision), the Poisson totals per row and the iterations of the exact
-    round loop (hybrid only).
-    """
-    n = X.shape[0]
-    zeros = np.zeros(n, dtype=np.int64)
+def _accept_at_once(kind, rows, X, Xt, V, f0, f1, logH, t, rule, oracle,
+                    rng):
+    """Decisions drawn at once for the chains ``rows``, in that order: ula
+    accepts every proposal, oracle-mh is MH on the exact log r, and the
+    quadrature kinds (hybrid's fallback too) are :func:`_quadrature_accept`
+    in the original direction."""
     if kind == "ula":
-        return np.ones(n, dtype=bool), zeros, zeros, 0
-    ones = np.ones(n, dtype=np.int64)
+        return np.ones(rows.size, dtype=bool)
     if kind == "oracle-mh":
-        log_r = oracle.log_density(Xt, t) - oracle.log_density(X, t)
-        log_alpha = np.minimum(0.0, log_r + logH)
-        return np.log(rng.uniform(size=n)) <= log_alpha, ones, zeros, 0
-    if kind == "quadrature":
-        return (_quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng),
-                ones, zeros, 0)
-    accept, rounds, poisson, fallback = _hybrid_accept(
-        X, V, f0, f1, logH, C, line, t, rule, oracle, rng, hybrid_rounds,
-        max_rounds, poisson_cap)
-    # iterations of the exact loop: the rounds without the fallback's
-    exact_rounds = rounds.copy()
-    exact_rounds[fallback] -= 1
-    return accept, rounds, poisson, int(exact_rounds.max(initial=0))
+        log_r = (oracle.log_density(Xt[rows], t)
+                 - oracle.log_density(X[rows], t))
+        log_alpha = np.minimum(0.0, log_r + logH[rows])
+        return np.log(rng.uniform(size=rows.size)) <= log_alpha
+    return _quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng,
+                              rows=rows)
 
 
 def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
@@ -527,7 +489,11 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
     the passes number about ``steps`` times the mean rounds plus the slowest
     chain's tail, not the sum of each step's slowest chain.  Every other
     kind decides each proposal in the pass that made it, so all chains move
-    in lockstep, one step per pass.
+    in lockstep, one step per pass: hybrid runs up to ``hybrid_rounds``
+    exact rounds on the rows with 2C <= ``poisson_cap`` in that pass, and
+    the quadrature fallback decides the rest.  A fallback decision counts one
+    round more than the exact rounds before it: 1 for a row above the cap,
+    ``hybrid_rounds`` + 1 for a row the rounds left open.
 
     ``on_step(chains, step, X_rows)`` receives the chains that finish a step
     in a pass, the index of the step each finished, and their new states.
@@ -554,10 +520,10 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                           f"{np.shape(X)} and {np.shape(S)}")
     n, d = X.shape
     X, S = X.copy(), S.copy()
-    Xt, St, V, Xa = (np.empty_like(X) for _ in range(4))
-    # E, A, B: each row's envelope line; two-coin keeps the line (A, B) in
-    # the row's decision frame and E inside logH
-    f0, f1, logH, C, E, A, B = (np.empty(n) for _ in range(7))
+    # Xa, Va, Ha (log H + E), A, B: each exact row's decision frame and the
+    # frame's line; V, f0, f1 and logH keep the original direction
+    Xt, St, V, Xa, Va = (np.empty_like(X) for _ in range(5))
+    f0, f1, logH, C, Ha, A, B = (np.empty(n) for _ in range(7))
     swap = np.zeros(n, dtype=bool)
     pending = np.zeros(n, dtype=bool)
     done = np.zeros(n, dtype=np.int64)     # steps each chain has finished
@@ -578,59 +544,74 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                 Xt[free], St[free] = xt, st
                 if kind != "ula":
                     v, e0, e1, lh = _endpoint_terms(x, xt, s, st, h)
+                    V[free], f0[free], f1[free], logH[free] = v, e0, e1, lh
                     if kind in ("two-coin", "hybrid"):
                         C[free] = bound_c_batch(x, xt, s, st, v, e0, e1, t,
                                                 bound, schedule, oracle, free)
                         e, a, b = _envelope_line(e0, e1, bound)
-                        if kind == "two-coin":
-                            swap[free] = sw = _swap_rows(e0, e1, lh, e)
-                            a, b = _frame_baseline(a, b, sw)
-                            Xa[free], v, lh = _decision_frame(
-                                x, xt, v, lh + e, sw)
-                        E[free], A[free], B[free] = e, a, b
-                    V[free], f0[free], f1[free], logH[free] = v, e0, e1, lh
+                        swap[free] = sw = _swap_rows(e0, e1, lh, e)
+                        A[free], B[free] = _frame_baseline(a, b, sw)
+                        Xa[free], Va[free], Ha[free] = _decision_frame(
+                            x, xt, v, lh + e, sw)
                 rounds[free] = 0
                 pending[free] = True
                 proposed += free.size
             active = np.flatnonzero(pending)
             if active.size == 0:
                 break
+            # the exact rows run rounds first; the rows they leave open stay
+            # pending under two-coin and are decided at once by every other
+            # kind, which keeps its chains in lockstep
             if kind == "two-coin":
                 # a lone pending decision, or decisions after which no chain
                 # proposes again, run their remaining rounds in one call: the
                 # passes would draw the same numbers in the same order
+                runs = active
                 limit = (max_rounds - int(rounds[active].max())
                          if active.size == 1 or proposed == stats.proposals
                          else 1)
+            elif kind == "hybrid" and hybrid_rounds > 0:
+                # all of hybrid's rounds run in this pass, on the rows whose
+                # Poisson mean 2C is within the cap
+                capped = 2.0 * C[active] > poisson_cap
+                runs, limit = active[~capped], hybrid_rounds
+            else:
+                runs = active[:0]
+            if runs.size:
                 frame_accept, ran, poisson, still = _two_coin_rounds(
-                    Xa.take(active, axis=0), V.take(active, axis=0),
-                    logH[active], C[active], t, oracle, rng, max_rounds,
-                    round_limit=limit, chains=active,
-                    base=(A.take(active), B.take(active)))
-                rounds[active] += ran
+                    Xa.take(runs, axis=0), Va.take(runs, axis=0), Ha[runs],
+                    C[runs], t, oracle, rng, max_rounds, round_limit=limit,
+                    chains=runs, base=(A.take(runs), B.take(runs)))
+                rounds[runs] += ran
+                stats.round_passes += int(ran.max())
+                stats.poisson_total += int(poisson.sum())
+            if kind == "two-coin":
                 if still.size:
-                    stuck = still[rounds[active[still]] >= max_rounds]
+                    stuck = runs[still][rounds[runs[still]] >= max_rounds]
                     if stuck.size:
-                        raise _stuck_error(stuck, max_rounds, C[active],
-                                           logH[active], active)
-                decided = np.ones(active.size, dtype=bool)
+                        raise _stuck_error(stuck, max_rounds, C, Ha)
+                decided = np.ones(runs.size, dtype=bool)
                 decided[still] = False
-                rows = active[decided]
-                accept = frame_accept[decided] ^ swap[rows]
-                took, passes = rounds[rows], int(ran.max())
+                rows = runs[decided]
+                moved = rows[frame_accept[decided] ^ swap[rows]]
             else:
                 # every chain proposed in this pass, so the rows are the chains
-                rows = active
-                accept, took, poisson, passes = _decide_at_once(
-                    kind, X, Xt, V, f0, f1, logH, C, (E, A, B), t, rule,
-                    oracle, rng, hybrid_rounds, max_rounds, poisson_cap)
-            stats.round_passes += passes
-            stats.poisson_total += int(poisson.sum())
-            moved = rows[accept]
+                rows = once = active
+                accept = np.empty(n, dtype=bool)
+                if runs.size:
+                    # the rows still open join the capped rows
+                    accept[runs] = frame_accept ^ swap[runs]
+                    once = np.concatenate([active[capped], runs[still]])
+                accept[once] = _accept_at_once(
+                    kind, once, X, Xt, V, f0, f1, logH, t, rule, oracle, rng)
+                if kind != "ula":
+                    rounds[once] += 1
+                moved = np.flatnonzero(accept)
             stats.accepted += moved.size
             xt, x = Xt.take(moved, axis=0), X.take(moved, axis=0)
             stats.jump_sq_total += float(np.sum((xt - x) ** 2))
             X[moved], S[moved] = xt, St.take(moved, axis=0)
+            took = rounds[rows]
             stats.rounds_total += int(took.sum())
             stats.max_rounds = max(stats.max_rounds, int(took.max(initial=0)))
             pending[rows] = False

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -112,6 +112,21 @@ class _Level:
     t_from: Optional[float]
     t: float
     beta: Optional[float]  # ladder beta of the arriving transition
+    h: Optional[float] = None  # corrector step; None where none runs
+
+
+def run_plan(config: RunConfig) -> tuple[NoiseSchedule, list[_Level]]:
+    """The validated ``config``'s noise schedule and level plan, each level
+    with its corrector step: every configuration error a run can meet
+    before its first draw is raised here, so a caller can check a run
+    before it writes anything."""
+    config.validate()
+    schedule = config.schedule.build()
+    corrects = config.corrector.kind != "none" and config.corrector.steps > 0
+    return schedule, [
+        replace(level, h=_corrector_step_size(config, schedule, level))
+        if corrects and level.t > 0 else level
+        for level in _level_plan(config, schedule)]
 
 
 def _level_plan(config: RunConfig, schedule: NoiseSchedule) -> list[_Level]:
@@ -295,11 +310,11 @@ def _level_stats(level: _Level, rec: LevelRecord,
 # The run
 # ---------------------------------------------------------------------------
 
-def _run_block(config: RunConfig, schedule: NoiseSchedule, oracle: ScoreOracle,
-               n_chains: int, seed_seq: np.random.SeedSequence):
+def _run_block(config: RunConfig, schedule: NoiseSchedule, plan: list[_Level],
+               oracle: ScoreOracle, n_chains: int,
+               seed_seq: np.random.SeedSequence):
     rng = np.random.Generator(np.random.Philox(seed_seq))
     dim = oracle.dim
-    plan = _level_plan(config, schedule)
     K = config.corrector.steps
     ck = config.corrector.kind
     engine_kind = (None if ck == "none" else
@@ -323,8 +338,7 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, oracle: ScoreOracle,
                 err.args = (f"predictor into level t={level.t:.6g}: {err}",)
                 raise
         rec.predictor_queries = oracle.queries - q_before
-        if engine_kind is not None and K > 0 and level.t > 0:
-            h = _corrector_step_size(config, schedule, level)
+        if level.h is not None:
             unit_sum, unit_sq = np.zeros_like(X), np.zeros_like(X)
 
             def record(rows, steps, X_rows):
@@ -341,7 +355,7 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, oracle: ScoreOracle,
                 engine._require_finite_rows(S, "score")
                 rec.score_queries += oracle.queries - q_entry
                 X, S, st = engine.corrector_sweep(
-                    X, S, oracle, level.t, h, engine_kind, rng,
+                    X, S, oracle, level.t, level.h, engine_kind, rng,
                     schedule=schedule, bound=bound, rule=quad_rule,
                     hybrid_rounds=config.corrector.hybrid_rounds,
                     max_rounds=config.corrector.max_rounds,
@@ -379,9 +393,8 @@ def _predictor_step(X, oracle, schedule, config: RunConfig, level: _Level,
 
 def run_pc(config: RunConfig) -> RunReport:
     """Run the predictor-corrector sampler described by ``config``."""
-    config.validate()
     start = time.perf_counter()
-    schedule = config.schedule.build()
+    schedule, plan = run_plan(config)
     base_oracle = config.target.build_oracle(schedule)
     n = config.run.chains
     threads = min(config.run.threads, n)
@@ -390,13 +403,14 @@ def run_pc(config: RunConfig) -> RunReport:
     sizes = [n // threads + (1 if i < n % threads else 0) for i in range(threads)]
 
     if threads == 1:
-        results = [_run_block(config, schedule, base_oracle, n, children[0])]
+        results = [_run_block(config, schedule, plan, base_oracle, n,
+                              children[0])]
     else:
         # one oracle per block: the query counter is not thread-safe
         oracles = [base_oracle.fork() for _ in range(threads)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_block, config, schedule, oracles[i],
-                                   sizes[i], children[i])
+            futures = [pool.submit(_run_block, config, schedule, plan,
+                                   oracles[i], sizes[i], children[i])
                        for i in range(threads)]
             results = [f.result() for f in futures]
 
@@ -411,7 +425,7 @@ def run_pc(config: RunConfig) -> RunReport:
     report = RunReport(
         samples=samples,
         per_level=[_level_stats(level, rec, config) for level, rec
-                   in zip(_level_plan(config, schedule), merged)],
+                   in zip(plan, merged)],
         seed=config.run.seed,
         chains=n,
         predictor_queries=predictor_total,

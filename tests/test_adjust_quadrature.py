@@ -11,6 +11,7 @@ from madm.adjust_quadrature import (composite, rule_by_name, simpson13,
                                     simpson38, trapezoid)
 from madm.errors import ConfigError, DomainError, NonFiniteError
 from madm.targets import ScoreOracle, gaussian_oracle, quartic_oracle
+from test_proposal import _ZeroNoise
 
 R_FIXTURE = float(np.exp(-0.5))
 
@@ -205,61 +206,79 @@ def test_oracle_mh_requires_log_density():
 
 # -- hybrid ----------------------------------------------------------------------
 
-def _hybrid(p, oracle, C, K, rng, n):
-    X, V, f0, f1, logH = broadcast_rows(p, n)
-    zero = np.zeros(n)   # the line of a whole-integrand envelope
-    return engine._hybrid_accept(X, V, f0, f1, logH, np.full(n, C),
-                                 (zero, zero, zero), p.t,
-                                 simpson13(), oracle, rng, K,
-                                 engine.DEFAULT_MAX_ROUNDS,
-                                 engine.HYBRID_POISSON_CAP)
+def _hybrid(x0, C, K, seed, n, h=0.5, kind="hybrid"):
+    """One ``corrector_sweep`` step of n chains at x0 under N(0, 1), with the
+    innovation pinned to z = 0: every chain proposes the same move
+    x0 -> x0 + (h/2) s(x0), and hybrid decides it under the manual
+    envelope C.  Returns the sweep's output, the generator and the move as
+    :func:`one_row`'s arrays."""
+    oracle = gaussian_oracle(0.0, 1.0)
+    X = np.full((n, 1), x0)
+    rng = _ZeroNoise(seed)
+    out = engine.corrector_sweep(X, oracle.score(X, 1.0), oracle, 1.0, h,
+                                 kind, rng, rule=simpson13(), hybrid_rounds=K,
+                                 bound=engine.BoundSpec("manual", C))
+    p = one_row([x0], [x0 - 0.5 * h * x0], oracle, t=1.0, h=h)
+    return out, rng, p
+
+
+# the proposal 4/3 -> 1 at h = 0.5, whose endpoint integrands 4/9 and 1/3
+# lie within the envelope C = 1.5
+X0 = 4.0 / 3.0
 
 
 def test_hybrid_k_zero_equals_quadrature_distribution():
-    oracle, p = fixture()
     n = 5000
-    a, _, _, fallback = _hybrid(p, oracle, 1.5, 0, np.random.default_rng(7), n)
-    b = engine._quadrature_accept(*broadcast_rows(p, n), p.t, simpson13(),
-                                  oracle, np.random.default_rng(7))
-    np.testing.assert_array_equal(fallback, np.arange(n))
-    np.testing.assert_array_equal(a, b)  # identical rng consumption
+    (Xa, _, a), rng_a, _ = _hybrid(X0, 1.5, 0, 7, n)
+    (Xb, _, b), rng_b, _ = _hybrid(X0, 1.5, 0, 7, n, kind="quadrature")
+    np.testing.assert_array_equal(Xa, Xb)
+    assert a.accepted == b.accepted > 0
+    # identical rng consumption, and every row fell back: one round each,
+    # no exact round and no Poisson draw
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert a.rounds_total == n and a.round_passes == a.poisson_total == 0
 
 
 def test_hybrid_never_falls_back_on_sure_accept():
-    oracle = gaussian_oracle(0.0, 1.0)
-    p = one_row([0.4], [0.4], oracle, t=1.0, h=0.3)  # H = 1, C = 0
-    _, rounds, _, fallback = _hybrid(p, oracle, 0.0, 10,
-                                     np.random.default_rng(8), 200)
-    assert np.all(rounds == 1)
-    assert fallback.size == 0
+    # x0 = 0 is a null move under z = 0: H = 1 and C = 0, so every row is
+    # decided in its first exact round without a factor draw
+    n = 200
+    (_, _, stats), _, _ = _hybrid(0.0, 0.0, 10, 8, n, h=0.3)
+    assert stats.rounds_total == n and stats.max_rounds == 1
+    assert stats.round_passes == 1
+    # a fallback decision would score its Simpson midpoint
+    assert stats.score_queries == n
 
 
 def test_hybrid_large_k_converges_to_barker():
-    oracle, p = fixture()
-    alpha = expit(p.logH[0] + np.log(R_FIXTURE))
     n = 20_000
-    accept, _, _, _ = _hybrid(p, oracle, 1.5, 10_000, np.random.default_rng(9),
-                              n)
-    hits = accept.sum()
+    (_, _, stats), _, p = _hybrid(X0, 1.5, 10_000, 9, n)
+    oracle = gaussian_oracle(0.0, 1.0)
+    log_r = oracle.log_density(p.X + p.V, 1.0) - oracle.log_density(p.X, 1.0)
+    alpha = expit(p.logH[0] + log_r[0])
+    hits = stats.accepted
     assert abs(hits / n - alpha) < 4.0 * np.sqrt(alpha * (1 - alpha) / n)
 
 
 def test_hybrid_skips_factory_above_poisson_cap():
-    oracle, p = fixture()
-    _, rounds, poisson, fallback = _hybrid(p, oracle, 50.0, 10,
-                                           np.random.default_rng(10), 1)
-    np.testing.assert_array_equal(fallback, [0])
-    assert poisson[0] == 0
-    assert rounds[0] == 1
+    # 2C = 100 is above the cap: the row's one round is the fallback's
+    (_, _, stats), _, _ = _hybrid(X0, 50.0, 10, 10, 1)
+    assert stats.poisson_total == 0
+    assert stats.rounds_total == 1
+    assert stats.round_passes == 0
+    # the proposal endpoint and the Simpson midpoint
+    assert stats.score_queries == 2
 
 
 def test_hybrid_tags_fallback_path():
-    oracle, p = fixture()
-    n = 400
-    _, _, _, fallback = _hybrid(p, oracle, 1.5, 1, np.random.default_rng(11), n)
-    assert np.all((fallback >= 0) & (fallback < n))
-    assert np.unique(fallback).size == fallback.size
-    assert 0 < fallback.size < n  # K = 1 falls back often, but not always
+    n, K = 400, 1
+    (_, _, stats), _, _ = _hybrid(X0, 1.5, K, 11, n)
+    # a row the exact round left open counts K + 1 rounds
+    fallback = stats.rounds_total - n
+    assert stats.max_rounds == K + 1
+    assert 0 < fallback < n
+    # endpoints, factor rows, and one Simpson midpoint per fallback row
+    assert stats.score_queries == n + stats.poisson_total + fallback
 
 
 @pytest.mark.parametrize("h", [0.5, 0.25, 0.125])

@@ -239,11 +239,15 @@ def test_cli_scaling_bad_grid(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["sample", "--preset", "scaling"],
     ["sample", "--preset", "fig1-checkerboard", "--set", "run.chains=0"],
+    ["sample", "--preset", "spiral", "--set", "predictor.steps=7"],
+    ["sample", "--preset", "gaussian-bias",
+     "--set", "corrector.step_rule=beta"],
     ["verify", "no-such-suite"],
     ["plotdata", "{tmp}/empty"],
     ["plotdata", "{tmp}/gaussian"],
-], ids=["sample-scaling-preset", "sample-bad-override", "verify-unknown",
-        "plotdata-no-runs", "plotdata-non-dataset-run"])
+], ids=["sample-scaling-preset", "sample-bad-override", "sample-bad-ladder",
+        "sample-bad-step-rule", "verify-unknown", "plotdata-no-runs",
+        "plotdata-non-dataset-run"])
 def test_cli_config_error_writes_nothing(tmp_path, argv):
     (tmp_path / "empty").mkdir()
     (tmp_path / "gaussian").mkdir()

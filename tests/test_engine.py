@@ -12,6 +12,7 @@ from madm.errors import (BoundViolationError, ConfigError, DomainError,
 from madm.schedule import NoiseSchedule
 from madm.targets import (Dataset2D, ScoreOracle, diffused_empirical_oracle,
                           gaussian_oracle, quartic_oracle)
+from test_proposal import _ZeroNoise
 
 
 def test_bound_c_batch_matches_closed_forms():
@@ -215,17 +216,37 @@ def test_hybrid_bound_violation_names_the_chain():
     X = np.array([[6.0, 0.0]] * 3 + [[-2.0, 0.0]])
     Xt = np.array([[6.5, 0.0]] * 3 + [[2.0, 0.0]])
     S, St = oracle.score(X, 0.5), oracle.score(Xt, 0.5)
-    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, 0.3)
-    C = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 0.5,
-                             BoundSpec("lipschitz", 0.1), sched, oracle)
+    V, f0, f1, _ = engine._endpoint_terms(X, Xt, S, St, 0.3)
+    spec = BoundSpec("lipschitz", 0.1)
+    C = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 0.5, spec, sched, oracle)
     assert C[:3] == pytest.approx(9.01, abs=0.01)
     assert C[3] == pytest.approx(0.8, rel=1e-9)
-    zero = np.zeros(4)   # the lipschitz route's line
+    # the innovation that proposes Xt from X
+    z = (Xt - X - 0.15 * S) / np.sqrt(0.3)
     with pytest.raises(BoundViolationError, match="at chain 3$"):
-        engine._hybrid_accept(X, V, f0, f1, logH, C, (zero, zero, zero), 0.5,
-                              simpson13(), oracle, np.random.default_rng(0), 10,
-                              engine.DEFAULT_MAX_ROUNDS,
-                              engine.HYBRID_POISSON_CAP)
+        engine.corrector_sweep(X, S, oracle, 0.5, 0.3, "hybrid",
+                               _ZeroNoise(0, z), schedule=sched, bound=spec,
+                               rule=simpson13())
+
+
+@pytest.mark.parametrize("rounds", [1, 10])
+def test_hybrid_keeps_the_gaussian_stationary(rounds):
+    # a move and its reverse run their exact rounds in the same frame, so
+    # both leave the row open for the fallback with the same chance; rounds
+    # run from x would put the variance about 44 sigma (K = 1) and 47 sigma
+    # (K = 10) high here.  Plain lipschitz: on the sharp route every
+    # Gaussian decision ends in round 1 and no row falls back
+    oracle = gaussian_oracle(0.0, 1.0)
+    n = 100_000
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((n, 1))
+    Xn, _, stats = engine.corrector_sweep(
+        X, oracle.score(X, 1.0), oracle, 1.0, 0.5, "hybrid", rng,
+        bound=BoundSpec("lipschitz"), rule=simpson13(), hybrid_rounds=rounds,
+        poisson_cap=1e9, steps=30)
+    assert stats.max_rounds == rounds + 1   # some decisions fell back
+    z = (np.mean(Xn ** 2) - 1.0) / np.sqrt(2.0 / n)
+    assert abs(z) < 4.0
 
 
 def _nan_after_two_calls(lipschitz=1.0):

@@ -12,11 +12,16 @@ def _rng():
     return np.random.default_rng(0)
 
 
-class _ZeroNoise:
-    """Generator stand-in pinning the sweep's Gaussian innovation to z = 0."""
+class _ZeroNoise(np.random.Generator):
+    """Generator pinning the sweep's Gaussian innovation to z = 0, or to the
+    rows ``z``; every other draw comes from the stream of ``seed``."""
+
+    def __init__(self, seed=0, z=0.0):
+        super().__init__(np.random.PCG64(seed))
+        self.z = z
 
     def standard_normal(self, shape):
-        return np.zeros(shape)
+        return np.broadcast_to(np.asarray(self.z, dtype=float), shape).copy()
 
 
 def _ula(X, oracle, t, h, rng):

@@ -124,20 +124,27 @@ def test_run_pc_predictor_only_query_accounting():
     assert report.total_queries == report.predictor_queries
 
 
-def test_run_pc_query_conservation_with_corrector():
-    cfg = _base_config(corrector={"kind": "simpson13", "steps": 3,
-                                  "step_scale": 0.1, "step_rule": "beta"})
-    report = run_pc(cfg)
-    assert report.total_queries == (report.predictor_queries +
-                                    report.corrector_queries)
-    assert report.corrector_queries > 0
+def _small_fig1_hybrid(threads):
+    from madm.config import apply_overrides, preset_run_config
+
+    cfg = apply_overrides(preset_run_config("fig1-checkerboard"),
+                          ["run.chains=40", "target.n_points=60",
+                           "corrector.steps=3", f"run.threads={threads}"])
+    assert cfg.corrector.kind == "hybrid"
+    return cfg
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_run_pc_query_totals_count_every_score_row(monkeypatch, threads):
+@pytest.mark.parametrize("make_config", [
+    lambda: _small_fig1_hybrid(1),
+    lambda: _small_fig1_hybrid(2),
+    # an ancestral ladder on N(0, 1) with a beta-rule corrector
+    lambda: _base_config(corrector={"kind": "simpson13", "steps": 3,
+                                    "step_scale": 0.1, "step_rule": "beta"}),
+], ids=["1", "2", "simpson13"])
+def test_run_pc_query_totals_count_every_score_row(monkeypatch, make_config):
     # count the rows at the score function itself, apart from the records
     # the report sums; list.append is atomic, so the count is thread-safe
-    from madm.config import TargetConfig, apply_overrides, preset_run_config
+    from madm.config import TargetConfig
 
     build, rows = TargetConfig.build_oracle, []
 
@@ -153,11 +160,7 @@ def test_run_pc_query_totals_count_every_score_row(monkeypatch, threads):
         return oracle
 
     monkeypatch.setattr(TargetConfig, "build_oracle", counting)
-    cfg = apply_overrides(preset_run_config("fig1-checkerboard"),
-                          ["run.chains=40", "target.n_points=60",
-                           "corrector.steps=3", f"run.threads={threads}"])
-    report = run_pc(cfg)
-    assert cfg.corrector.kind == "hybrid"
+    report = run_pc(make_config())
     assert report.corrector_queries > 0
     assert report.total_queries == sum(rows)
     assert report.predictor_queries + report.corrector_queries == sum(rows)
@@ -310,13 +313,13 @@ def test_run_pc_two_coin_reruns_are_byte_identical(threads):
 
 
 def test_run_pc_round_telemetry_merges_across_blocks():
-    from madm.sampler import _run_block
+    from madm.sampler import _run_block, run_plan
 
     cfg = _two_coin_config(threads=2)
     report = run_pc(cfg)
-    schedule = cfg.schedule.build()
-    blocks = [_run_block(cfg, schedule, cfg.target.build_oracle(schedule), 32,
-                         child)[1][0]
+    schedule, plan = run_plan(cfg)
+    blocks = [_run_block(cfg, schedule, plan,
+                         cfg.target.build_oracle(schedule), 32, child)[1][0]
               for child in np.random.SeedSequence(31).spawn(2)]
     level = report.summary_dict()["per_level"][0]
     assert level["round_passes"] == sum(b.round_passes for b in blocks) > 0
