@@ -31,7 +31,7 @@ from . import __version__, diagnostics, verify
 from .config import (CORRECTOR_NAMES, PRESETS, RunConfig, apply_overrides,
                      config_from_file, expand_preset, preset_run_config)
 from .errors import ConfigError, MadmError
-from .sampler import run_pc, run_plan
+from .sampler import run_oracle, run_pc, run_plan
 from .targets import DATASET_NAMES, dataset_to_csv, generate_dataset
 
 VERSION_STRING = f"v{__version__}"
@@ -75,13 +75,14 @@ def _load_run_config(args) -> tuple[RunConfig, str | None]:
 
 def cmd_sample(args) -> int:
     cfg, preset = _load_run_config(args)
-    run_plan(cfg)
+    schedule, _ = run_plan(cfg)
+    oracle = run_oracle(cfg, schedule)
     out = _out_dir(args)
     echo = cfg.to_flat_dict()
     if not args.quiet:
         for key in sorted(echo):
             print(f"{key} = {echo[key]}")
-    report = run_pc(cfg)
+    report = run_pc(cfg, oracle)
     report.write_samples_csv(out / "samples.csv")
     report.write_diagnostics_csv(out / "diagnostics.csv")
     payload = {

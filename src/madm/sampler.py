@@ -182,7 +182,20 @@ def _corrector_step_size(config: RunConfig, schedule: NoiseSchedule,
     return c * sigma
 
 
-def _bound_spec(config: RunConfig, oracle: ScoreOracle) -> BoundSpec:
+def run_oracle(config: RunConfig, schedule: NoiseSchedule) -> ScoreOracle:
+    """The ``config``'s target oracle, checked against its corrector's
+    envelope: with :func:`run_plan`, every configuration error a run can
+    meet before its first draw."""
+    oracle = config.target.build_oracle(schedule)
+    _bound_spec(config, oracle)
+    return oracle
+
+
+def _bound_spec(config: RunConfig, oracle: ScoreOracle) -> Optional[BoundSpec]:
+    """The exact correctors' envelope (None for the other kinds), with the
+    constant it needs looked up on ``oracle`` when the config gives none."""
+    if config.corrector.kind not in ("two-coin", "hybrid"):
+        return None
     name = config.corrector.bound
     if name == "auto":
         if oracle.lipschitz is not None:
@@ -194,7 +207,19 @@ def _bound_spec(config: RunConfig, oracle: ScoreOracle) -> BoundSpec:
                 f"oracle {oracle.name!r} declares neither a Lipschitz constant "
                 "nor a denoiser bound; set corrector.bound explicitly"
             )
-    return BoundSpec(strategy=name, value=config.corrector.bound_value)
+    spec = BoundSpec(strategy=name, value=config.corrector.bound_value)
+    if spec.value is None:
+        if spec.strategy == engine.MANUAL:
+            raise ConfigError("corrector.bound 'manual' needs a bound_value")
+        what, constant = (
+            ("denoiser bound", oracle.denoiser_bound)
+            if spec.strategy == engine.BOUNDED_DENOISER
+            else ("Lipschitz constant", oracle.lipschitz))
+        if constant is None:
+            raise ConfigError(
+                f"oracle {oracle.name!r} declares no {what}; set "
+                f"corrector.bound_value or another corrector.bound")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +346,7 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, plan: list[_Level],
                    "quadrature" if ck in RULES else ck)
     quad_rule = rule_by_name(ck if ck in RULES else
                              config.corrector.hybrid_rule)
-    bound = (_bound_spec(config, oracle)
-             if engine_kind in ("two-coin", "hybrid") else None)
+    bound = _bound_spec(config, oracle)
     kept = _kept_draws(config)
     burn = K - kept
 
@@ -391,11 +415,14 @@ def _predictor_step(X, oracle, schedule, config: RunConfig, level: _Level,
     return pf_ode_step_euler(X, oracle, schedule, t_from, dt)
 
 
-def run_pc(config: RunConfig) -> RunReport:
-    """Run the predictor-corrector sampler described by ``config``."""
+def run_pc(config: RunConfig,
+           oracle: Optional[ScoreOracle] = None) -> RunReport:
+    """Run the predictor-corrector sampler described by ``config``, on
+    ``oracle`` if the caller has built it with :func:`run_oracle`."""
     start = time.perf_counter()
     schedule, plan = run_plan(config)
-    base_oracle = config.target.build_oracle(schedule)
+    base_oracle = (oracle if oracle is not None
+                   else run_oracle(config, schedule))
     n = config.run.chains
     threads = min(config.run.threads, n)
     root = np.random.SeedSequence(config.run.seed)

@@ -22,14 +22,31 @@ import numpy as np
 from .errors import ConfigError, DegenerateMixtureError, DomainError
 from .schedule import NoiseSchedule
 
-# Row budget for chunking pairwise mixture computations.
-_PAIR_CHUNK = 8_000_000
+# Blocks of the mixture kernel: about _BLOCK_ENTRIES logits per block (64
+# rows of the fig1 checkerboard's 1200 components, 600 KB), so a block's
+# logits stay in cache from the product that writes them, through exp, to
+# the product that reads them, and never fewer than _BLOCK_ROWS rows, below
+# which each block's fixed numpy overhead shows (timed at 7 to 20 000 rows
+# on 3 to 10 000 components).  One buffer serves every block of a call:
+# allocating one per block maps its pages anew each time, which costs as
+# much as the block's work.  The count depends on the components alone, so
+# a row's bits do not depend on the size of its call.
+_BLOCK_ENTRIES = 64 * 1200
+_BLOCK_ROWS = 16
 
-# Floor for the max-shifted mixture logits.  exp() is ~100x slower where its
-# result is subnormal and several times slower where it underflows to 0; at
-# the floor a component still weighs e^-600 ~ 3e-261 of the largest one, far
-# below the rounding of any sum over it.
+# Floor for the mixture logits -||x - m_i||^2 / (2 var).  exp() is ~100x
+# slower where its result is subnormal and several times slower where it
+# underflows to 0.  A row the floor can change either is redone (its weight
+# sum is below _FAR_SUM) or keeps a sum of at least 1e-40, beside which a
+# floored weight of e^-600 ~ 3e-261 is far below rounding.  The pass runs
+# only on calls whose reach bound says some logit can fall below it.
 _LOGIT_FLOOR = -600.0
+
+# Rows whose unshifted weights sum below this are far from every component
+# and are redone with their logits shifted by the largest one.  Above it
+# the largest weight is a normal number, so the sums keep full relative
+# accuracy; the floored weights (n e^-600) sit some 220 decades below it.
+_FAR_SUM = 1e-40
 
 
 @dataclass
@@ -275,15 +292,32 @@ def diffused_empirical_oracle(data: Dataset2D, schedule: NoiseSchedule,
     With means m_i = r_u x_i and var = (r_u sigma_u)^2, both capabilities
     share one pass over the logits
 
-        L_i(x) = <x, m_i> / var - ||m_i||^2 / (2 var),
+        L_i(x) = -||x - m_i||^2 / (2 var),
 
-    which leave out the per-row term -||x||^2 / (2 var).  It cancels in the
-    softmax weights, so the score (sum_i w_i m_i - x) / var never needs it;
-    ``log_density`` adds it back.  The per-level constants (var, m / var,
-    ||m||^2 / (2 var) and [m | 1]) are computed once per level and kept, for
-    the last four levels, in a cache inside the oracle's closure.  It holds
-    read-only arrays and is safe to share between threads, so :meth:`fork`
-    copies share it.
+    which one matrix product gives directly: [x | 1 | ||x||^2] against the
+    per-level coefficients [m_i / var ; -||m_i||^2 / (2 var) ; -1 / (2 var)].
+    The weights w_i = exp(L_i) need no shift by their max, since L_i <= 0.
+    The product runs in blocks of at least ``_BLOCK_ROWS`` rows and about
+    ``_BLOCK_ENTRIES`` logits, so each block's logits stay in cache through
+    exp and the product with [m | 1] that sums them; a row's bits depend
+    only on the rows of its block.
+
+    The ``_LOGIT_FLOOR`` pass runs only when the call's reach bound
+
+        (max_x ||x|| + r_u B)^2 / (2 var) >= max_{x,i} ||x - m_i||^2 / (2 var)
+
+    over the call's rows x, with B = max_i ||x_i|| the data's radius about
+    the origin, exceeds 600: below that no logit can fall under the floor,
+    so skipping the pass changes nothing.  A row whose weight sum falls
+    below ``_FAR_SUM`` lies far from every component.  It is redone from
+    the logits <x, m_i> / var - ||m_i||^2 / (2 var) shifted by their max,
+    which keeps its relative accuracy however far it lies, and its shift
+    goes into ``log_density``.
+
+    The per-level constants (var, the coefficients and [m | 1]) are
+    computed once per level and kept, for the last four levels, in a cache
+    inside the oracle's closure.  It holds read-only arrays and is safe to
+    share between threads, so :meth:`fork` copies share it.
     """
     _, sigma_t = schedule.marginal_params(t)
     if sigma_t <= 0.0:
@@ -293,6 +327,7 @@ def diffused_empirical_oracle(data: Dataset2D, schedule: NoiseSchedule,
     points = data.points
     n_comp, dim = points.shape
     log_n = np.log(n_comp)
+    data_radius = float(np.max(np.linalg.norm(points, axis=1)))
 
     @functools.lru_cache(maxsize=4)
     def _level(u):
@@ -303,30 +338,48 @@ def diffused_empirical_oracle(data: Dataset2D, schedule: NoiseSchedule,
             )
         var = (r * sigma) ** 2
         means = r * points
-        scaled_t = (means / var).T
-        bias = np.sum(means * means, axis=1) / (2.0 * var)
+        coef = np.empty((dim + 2, n_comp))
+        coef[:dim] = means.T / var
+        coef[dim] = -np.sum(means * means, axis=1) / (2.0 * var)
+        coef[dim + 1] = -0.5 / var
         means_one = np.hstack([means, np.ones((n_comp, 1))])
-        for arr in (scaled_t, bias, means_one):
+        for arr in (coef, means_one):
             arr.flags.writeable = False
-        return var, scaled_t, bias, means_one
+        return r, var, coef, means_one
 
     def _fused(x, u):
-        """Per row of x: the logits' max and [sum_i w_i m_i | sum_i w_i] for
-        the unnormalised weights w_i = exp(L_i - max)."""
-        var, scaled_t, bias, means_one = _level(float(u))
-        top = np.empty(x.shape[0])
-        sums = np.empty((x.shape[0], dim + 1))
-        step = max(1, _PAIR_CHUNK // n_comp)
-        for lo in range(0, x.shape[0], step):
-            logits = x[lo:lo + step] @ scaled_t
-            logits -= bias
-            peak = logits.max(axis=1, keepdims=True)
-            logits -= peak
-            np.maximum(logits, _LOGIT_FLOOR, out=logits)
+        """Per row of x: a log scale s and [sum_i w_i m_i | sum_i w_i] for
+        the weights w_i = exp(L_i - s); s is 0 but on far rows."""
+        r, var, coef, means_one = _level(float(u))
+        rows = x.shape[0]
+        block_rows = max(_BLOCK_ROWS, _BLOCK_ENTRIES // n_comp)
+        sq = np.einsum("ij,ij->i", x, x)
+        xa = np.empty((rows, dim + 2))
+        xa[:, :dim] = x
+        xa[:, dim] = 1.0
+        xa[:, dim + 1] = sq
+        reach = (np.sqrt(sq.max(initial=0.0)) + r * data_radius) ** 2
+        floor = reach / (2.0 * var) > -_LOGIT_FLOOR
+        scale = np.zeros(rows)
+        sums = np.empty((rows, dim + 1))
+        buf = np.empty((min(rows, block_rows), n_comp))
+        for lo in range(0, rows, block_rows):
+            part = xa[lo:lo + block_rows]
+            logits = np.matmul(part, coef, out=buf[:part.shape[0]])
+            if floor:
+                np.maximum(logits, _LOGIT_FLOOR, out=logits)
             np.exp(logits, out=logits)
-            top[lo:lo + step] = peak[:, 0]
-            sums[lo:lo + step] = logits @ means_one
-        return var, top, sums
+            block = np.matmul(logits, means_one, out=sums[lo:lo + block_rows])
+            far = np.flatnonzero(block[:, dim] < _FAR_SUM)
+            if far.size:
+                logits = x[lo + far] @ coef[:dim] + coef[dim]
+                peak = logits.max(axis=1, keepdims=True)
+                logits -= peak
+                np.maximum(logits, _LOGIT_FLOOR, out=logits)
+                np.exp(logits, out=logits)
+                block[far] = logits @ means_one
+                scale[lo + far] = peak[:, 0] - sq[lo + far] / (2.0 * var)
+        return var, scale, sums
 
     def score(x, u):
         single = x.ndim == 1
@@ -338,8 +391,8 @@ def diffused_empirical_oracle(data: Dataset2D, schedule: NoiseSchedule,
     def log_density(x, u):
         single = x.ndim == 1
         xb = x[None, :] if single else x
-        var, top, sums = _fused(xb, u)
-        out = top + np.log(sums[:, dim]) - np.sum(xb * xb, axis=1) / (2.0 * var)
+        var, scale, sums = _fused(xb, u)
+        out = scale + np.log(sums[:, dim])
         out += -log_n - 0.5 * dim * np.log(2.0 * np.pi * var)
         return out[0] if single else out
 
@@ -347,7 +400,7 @@ def diffused_empirical_oracle(data: Dataset2D, schedule: NoiseSchedule,
         dim=dim,
         score_fn=score,
         log_density_fn=log_density,
-        denoiser_bound=float(np.max(np.linalg.norm(points, axis=1))),
+        denoiser_bound=data_radius,
         lipschitz=None,
         name=f"diffused-{data.name}(n={n_comp})",
     )

@@ -242,12 +242,17 @@ def test_cli_scaling_bad_grid(tmp_path, capsys):
     ["sample", "--preset", "spiral", "--set", "predictor.steps=7"],
     ["sample", "--preset", "gaussian-bias",
      "--set", "corrector.step_rule=beta"],
+    ["sample", "--preset", "fig1-checkerboard",
+     "--set", "corrector.bound=lipschitz"],
+    ["sample", "--preset", "fig1-checkerboard",
+     "--set", "corrector.bound=manual"],
     ["verify", "no-such-suite"],
     ["plotdata", "{tmp}/empty"],
     ["plotdata", "{tmp}/gaussian"],
 ], ids=["sample-scaling-preset", "sample-bad-override", "sample-bad-ladder",
-        "sample-bad-step-rule", "verify-unknown", "plotdata-no-runs",
-        "plotdata-non-dataset-run"])
+        "sample-bad-step-rule", "sample-bound-without-constant",
+        "sample-manual-bound-without-value", "verify-unknown",
+        "plotdata-no-runs", "plotdata-non-dataset-run"])
 def test_cli_config_error_writes_nothing(tmp_path, argv):
     (tmp_path / "empty").mkdir()
     (tmp_path / "gaussian").mkdir()

@@ -304,13 +304,74 @@ def test_fused_mixture_chunks_stitch_bit_for_bit(checkerboard, monkeypatch):
     split = {u: (np.vstack([oracle.score(p, u) for p in pieces]),
                  np.concatenate([oracle.log_density(p, u) for p in pieces]))
              for u in FIG1_LEVELS}
-    monkeypatch.setattr(targets, "_PAIR_CHUNK", 5 * len(checkerboard))
+    monkeypatch.setattr(targets, "_BLOCK_ENTRIES", 5 * len(checkerboard))
+    monkeypatch.setattr(targets, "_BLOCK_ROWS", 1)
     for u in FIG1_LEVELS:
         score, log_p = oracle.score(x, u), oracle.log_density(x, u)
         np.testing.assert_array_equal(score, split[u][0])
         np.testing.assert_array_equal(log_p, split[u][1])
         _assert_close(score, whole[u][0], rel=1e-14)
         _assert_close(log_p, whole[u][1], rel=1e-14)
+
+
+@pytest.mark.parametrize("u", FIG1_LEVELS)
+def test_fused_mixture_zero_rows(checkerboard, u):
+    # hybrid makes zero-row Simpson calls when no row is capped
+    oracle = diffused_empirical_oracle(checkerboard, FIG1_LADDER, u)
+    x = np.empty((0, 2))
+    assert oracle.score(x, u).shape == (0, 2)
+    assert oracle.log_density(x, u).shape == (0,)
+
+
+def test_fused_mixture_rows_off_the_board_take_the_max_shift(checkerboard):
+    # 5 to 20 units outside [-4, 4]^2 at the lowest fig1 level every weight
+    # e^{L_i} is below 1e-90, so each row is redone shifted by its max
+    u = FIG1_LEVELS[2]
+    oracle = diffused_empirical_oracle(checkerboard, FIG1_LADDER, u)
+    rng = np.random.default_rng(16)
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=48)
+    edge = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    edge /= np.max(np.abs(edge), axis=1, keepdims=True)
+    x = (4.0 + rng.uniform(5.0, 20.0, size=(48, 1))) * edge
+    want, want_log_p = _mixture_reference(checkerboard.points, FIG1_LADDER, x, u)
+    r, sigma = FIG1_LADDER.marginal_params(u)
+    log_sums = want_log_p + np.log(len(checkerboard) * 2.0 * np.pi
+                                   * (r * sigma) ** 2)
+    assert np.all(log_sums < np.log(targets._FAR_SUM))
+    _assert_close(oracle.score(x, u), want)
+    _assert_close(oracle.log_density(x, u), want_log_p)
+
+
+def _reach(points, schedule, x, u):
+    """The kernel's bound on max_ij ||x_j - m_i||^2 / (2 var)."""
+    r, sigma = schedule.marginal_params(u)
+    reach = (np.max(np.linalg.norm(x, axis=1))
+             + r * np.max(np.linalg.norm(points, axis=1)))
+    return reach ** 2 / (2.0 * (r * sigma) ** 2)
+
+
+def test_fused_mixture_skipped_floor_changes_no_bit(checkerboard):
+    # at the lowest fig1 level, rows within 2.5 of the origin reach logits
+    # below -500 but skip the floor on their own; rows 40 units away
+    # make the whole call take it, which leaves the near rows alone
+    u = FIG1_LEVELS[2]
+    oracle = diffused_empirical_oracle(checkerboard, FIG1_LADDER, u)
+    rng = np.random.default_rng(17)
+    block = targets._BLOCK_ENTRIES // len(checkerboard)  # rows per block
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=block)
+    near = 2.5 * np.sqrt(rng.uniform(size=(block, 1))) * np.stack(
+        [np.cos(angle), np.sin(angle)], axis=1)
+    far = 40.0 * rng.standard_normal((block, 2))
+    x = np.vstack([near, far])
+    assert _reach(checkerboard.points, FIG1_LADDER, near, u) <= 600.0
+    assert _reach(checkerboard.points, FIG1_LADDER, x, u) > 600.0
+    np.testing.assert_array_equal(
+        oracle.score(x, u), np.vstack([oracle.score(near, u),
+                                       oracle.score(far, u)]))
+    np.testing.assert_array_equal(
+        oracle.log_density(x, u),
+        np.concatenate([oracle.log_density(near, u),
+                        oracle.log_density(far, u)]))
 
 
 def test_mixture_level_cache_does_not_change_results(checkerboard):
