@@ -10,8 +10,10 @@ kept the output byte for byte:
 
 The cases are every corrector kind through ``engine.corrector_sweep`` (5
 steps of 3000 chains; samples, scores, every ``SweepStats`` field and the
-generator state) and ``run_pc`` on eight small preset configurations
-(samples, the flat config and the report without its wall time).  On a
+generator state) and ``run_pc`` on nine small preset configurations
+(samples, the flat config and the report without its wall time; each run
+also prints a digest of its samples alone, so a change to query counts or
+report keys can be told apart from a change to the draws).  On a
 target whose line integrand is not affine (score -x + 0.8 sin x), so that
 the Poisson products draw factors, they are also two-coin and hybrid sweeps
 on the ``lipschitz-sharp`` and ``lipschitz`` envelopes (5 steps of 1000
@@ -43,6 +45,7 @@ RUNS = {
     "fig1-hybrid": ("fig1-checkerboard", ["corrector.kind=hybrid"]),
     "fig1-simpson13": ("fig1-checkerboard", ["corrector.kind=simpson13"]),
     "fig1-ula": ("fig1-checkerboard", ["corrector.kind=ula"]),
+    "fig1-heun": ("fig1-checkerboard", ["predictor.kind=pf-ode-heun"]),
     "gaussian-two-coin": ("gaussian-bias", ["corrector.kind=two-coin"]),
     "gaussian-oracle-mh": ("gaussian-bias", ["corrector.kind=oracle-mh"]),
     "gaussian-trapezoid": ("gaussian-bias", ["corrector.kind=trapezoid"]),
@@ -128,22 +131,25 @@ def replicate_case(sampler: str, line: str) -> str:
                    rng.bit_generator.state)
 
 
-def run_case(name: str) -> str:
+def run_case(name: str) -> tuple[str, str]:
+    """The run's digest and its samples' digest."""
     preset, overrides = RUNS[name]
     config = apply_overrides(preset_run_config(preset),
                              SMALL[preset] + overrides)
     report = run_pc(config)
     summary = report.summary_dict()
     summary.pop("wall_time_s")
-    return _digest(np.ascontiguousarray(report.samples).tobytes(),
-                   config.to_flat_dict(), summary)
+    samples = np.ascontiguousarray(report.samples).tobytes()
+    return (_digest(samples, config.to_flat_dict(), summary),
+            _digest(samples))
 
 
 def main() -> int:
     for kind in SWEEP_KINDS:
         print(f"{sweep_case(kind)}  sweep-{kind}", flush=True)
     for name in RUNS:
-        print(f"{run_case(name)}  run-{name}", flush=True)
+        run, samples = run_case(name)
+        print(f"{run}  run-{name}\n{samples}  samples-{name}", flush=True)
     for kind, route in RIPPLED_SWEEPS:
         print(f"{rippled_sweep_case(kind, route)}  rippled-{kind}-{route}",
               flush=True)

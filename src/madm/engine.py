@@ -116,6 +116,13 @@ class SweepStats:
     pays its Python overhead once for all the rows it serves) and
     ``max_rounds`` is the longest single decision, in rounds.
 
+    Under hybrid, ``capped_rows`` counts the proposals whose Poisson mean 2C
+    exceeds ``poisson_cap``, which skip the exact rounds, and
+    ``budget_rows`` those the ``hybrid_rounds`` rounds left open; both go to
+    the quadrature fallback, and the other proposals were decided exactly.
+    With ``hybrid_rounds`` = 0 every proposal within the cap has a budget of
+    no rounds and counts in ``budget_rows``.  Other kinds leave both at 0.
+
     The sampler's per-level record (:class:`madm.sampler.LevelRecord`)
     extends this class, so one :meth:`merge` rule folds a sweep into a level
     and merges the levels of thread blocks: a counter needs only a field.
@@ -129,6 +136,8 @@ class SweepStats:
     jump_sq_total: float = 0.0
     round_passes: int = 0
     max_rounds: int = 0
+    capped_rows: int = 0
+    budget_rows: int = 0
 
     def merge(self, other: "SweepStats") -> None:
         """Add ``other``'s fields in: the ``max_*`` fields keep the larger
@@ -570,11 +579,15 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                 limit = (max_rounds - int(rounds[active].max())
                          if active.size == 1 or proposed == stats.proposals
                          else 1)
-            elif kind == "hybrid" and hybrid_rounds > 0:
+            elif kind == "hybrid":
                 # all of hybrid's rounds run in this pass, on the rows whose
                 # Poisson mean 2C is within the cap
                 capped = 2.0 * C[active] > poisson_cap
                 runs, limit = active[~capped], hybrid_rounds
+                stats.capped_rows += active.size - runs.size
+                if not limit:
+                    stats.budget_rows += runs.size
+                    runs = active[:0]
             else:
                 runs = active[:0]
             if runs.size:
@@ -602,6 +615,7 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                     # the rows still open join the capped rows
                     accept[runs] = frame_accept ^ swap[runs]
                     once = np.concatenate([active[capped], runs[still]])
+                    stats.budget_rows += still.size
                 accept[once] = _accept_at_once(
                     kind, once, X, Xt, V, f0, f1, logH, t, rule, oracle, rng)
                 if kind != "ula":

@@ -14,6 +14,11 @@ lockstep, and the other correctors move all chains one step per pass.
 Runs are fully reproducible from the seed at a fixed thread count (each
 thread block draws from its own spawned stream, merged in block order).
 
+A sweep returns the scores of its final states, and the next predictor step
+starts from those states at the same t: it takes the scores instead of
+querying them again, so each state is scored once across a level boundary.
+The first level, and a level after one without a corrector, still query.
+
 Each block keeps one :class:`LevelRecord` per level: the sweep's
 :class:`~madm.engine.SweepStats` extended by the predictor's queries and the
 post-burn-in moment sums.  Records merge across blocks under the one
@@ -35,7 +40,7 @@ from . import engine
 from .adjust_quadrature import RULES, rule_by_name
 from .config import RunConfig
 from .engine import BoundSpec
-from .errors import ConfigError, MadmError, NonFiniteError
+from .errors import ConfigError, DomainError, MadmError, NonFiniteError
 from .schedule import NoiseSchedule, VP_DISCRETE
 from .targets import ScoreOracle
 
@@ -49,20 +54,32 @@ def _check_drift(arr, what: str):
         raise NonFiniteError(f"non-finite {what}")
 
 
+def _score(x, oracle: ScoreOracle, t: float, s=None):
+    """s(x, t): the caller's ``s`` when it holds the score of ``x`` at ``t``
+    already, else one query of ``oracle``."""
+    if s is None:
+        return oracle.score(x, t)
+    s = np.asarray(s, dtype=float)
+    if s.shape != x.shape:
+        raise DomainError(f"score of shape {s.shape} given for states of "
+                          f"shape {x.shape}")
+    return s
+
+
 def ancestral_step(x, oracle: ScoreOracle, t: float, beta: float,
                    rng: Optional[np.random.Generator], z=None,
-                   add_noise: bool = True):
+                   add_noise: bool = True, s=None):
     """One reverse step of the discrete-chain sampler.
 
     x_prev = (x + beta * s(x, t)) / sqrt(1 - beta) + sqrt(beta) * z.
 
     ``z`` pins the innovation; ``add_noise=False`` gives the conventional
-    noiseless final step.
+    noiseless final step.  ``s``, when given, is s(x, t) and saves the query.
     """
     if not 0.0 < beta < 1.0:
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
     x = np.asarray(x, dtype=float)
-    s = oracle.score(x, t)
+    s = _score(x, oracle, t, s)
     _check_drift(s, f"score in ancestral step at t={t}")
     out = (x + beta * s) / math.sqrt(1.0 - beta)
     if add_noise:
@@ -72,8 +89,8 @@ def ancestral_step(x, oracle: ScoreOracle, t: float, beta: float,
     return out
 
 
-def _pf_drift(x, oracle, schedule, t):
-    s = oracle.score(x, t)
+def _pf_drift(x, oracle, schedule, t, s=None):
+    s = _score(x, oracle, t, s)
     f = schedule.f(t)
     g = schedule.g(t)
     drift = -f * x + 0.5 * g * g * s
@@ -82,21 +99,23 @@ def _pf_drift(x, oracle, schedule, t):
 
 
 def pf_ode_step_euler(x, oracle: ScoreOracle, schedule: NoiseSchedule,
-                      t: float, dt: float):
-    """Explicit Euler step of the probability-flow drift, from t to t - dt."""
+                      t: float, dt: float, s=None):
+    """Explicit Euler step of the probability-flow drift, from t to t - dt.
+    ``s``, when given, is s(x, t) and saves the query."""
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
     x = np.asarray(x, dtype=float)
-    return x + dt * _pf_drift(x, oracle, schedule, t)
+    return x + dt * _pf_drift(x, oracle, schedule, t, s)
 
 
 def pf_ode_step_heun(x, oracle: ScoreOracle, schedule: NoiseSchedule,
-                     t: float, dt: float):
-    """Heun step: Euler predictor plus trapezoidal drift correction (2 queries)."""
+                     t: float, dt: float, s=None):
+    """Heun step: Euler predictor plus trapezoidal drift correction (2
+    queries).  ``s``, when given, is s(x, t) and saves the first query."""
     if dt <= 0:
         raise ConfigError(f"dt must be positive, got {dt}")
     x = np.asarray(x, dtype=float)
-    d1 = _pf_drift(x, oracle, schedule, t)
+    d1 = _pf_drift(x, oracle, schedule, t, s)
     x_euler = x + dt * d1
     d2 = _pf_drift(x_euler, oracle, schedule, t - dt)
     return x + 0.5 * dt * (d1 + d2)
@@ -193,13 +212,15 @@ def run_oracle(config: RunConfig, schedule: NoiseSchedule) -> ScoreOracle:
 
 def _bound_spec(config: RunConfig, oracle: ScoreOracle) -> Optional[BoundSpec]:
     """The exact correctors' envelope (None for the other kinds), with the
-    constant it needs looked up on ``oracle`` when the config gives none."""
+    constant it needs looked up on ``oracle`` when the config gives none.
+    ``auto`` takes ``lipschitz-sharp`` when the oracle declares L: on the same
+    L its C is never above plain ``lipschitz``'s, and 0 on Gaussian targets."""
     if config.corrector.kind not in ("two-coin", "hybrid"):
         return None
     name = config.corrector.bound
     if name == "auto":
         if oracle.lipschitz is not None:
-            name = "lipschitz"
+            name = "lipschitz-sharp"
         elif oracle.denoiser_bound is not None:
             name = "bounded-denoiser"
         else:
@@ -238,6 +259,8 @@ class LevelStats:
     corrector_queries: int
     round_passes: int = 0
     max_rounds: int = 0
+    capped_rows: int = 0
+    budget_rows: int = 0
     post_mean: Optional[float] = None
     post_var: Optional[float] = None
     post_var_se: Optional[float] = None
@@ -327,6 +350,7 @@ def _level_stats(level: _Level, rec: LevelRecord,
         predictor_queries=rec.predictor_queries,
         corrector_queries=rec.score_queries,
         round_passes=rec.round_passes, max_rounds=rec.max_rounds,
+        capped_rows=rec.capped_rows, budget_rows=rec.budget_rows,
         post_mean=post_mean, post_var=post_var, post_var_se=post_se,
     )
 
@@ -351,13 +375,17 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, plan: list[_Level],
     burn = K - kept
 
     X = rng.standard_normal((n_chains, dim))
+    held = None  # (t, S): the last corrector's scores S of X at its level t
     records = []
     for level in plan:
         rec = LevelRecord()
         q_before = oracle.queries
         if level.t_from is not None:
+            S = held[1] if held is not None and held[0] == level.t_from else None
+            held = None
             try:
-                X = _predictor_step(X, oracle, schedule, config, level, rng)
+                X = _predictor_step(X, oracle, schedule, config, level, rng,
+                                    s=S)
             except MadmError as err:
                 err.args = (f"predictor into level t={level.t:.6g}: {err}",)
                 raise
@@ -390,6 +418,7 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, plan: list[_Level],
                 err.args = (f"corrector at level t={level.t:.6g}{at_sweep}: "
                             f"{err}",)
                 raise
+            held = (level.t, S)
             rec.merge(st)
             if kept >= 2:
                 # per-(chain, dim) within-chain variance summaries
@@ -403,16 +432,18 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, plan: list[_Level],
 
 
 def _predictor_step(X, oracle, schedule, config: RunConfig, level: _Level,
-                    rng) -> np.ndarray:
+                    rng, s=None) -> np.ndarray:
+    """X moved from ``level.t_from`` to ``level.t``; ``s``, when given, holds
+    the scores of X at ``level.t_from`` and replaces the first query."""
     pk = config.predictor.kind
     t_from, t_to = level.t_from, level.t
     if pk == "ancestral":
         return ancestral_step(X, oracle, t_from, level.beta, rng,
-                              add_noise=t_to > 0.0)
+                              add_noise=t_to > 0.0, s=s)
     dt = t_from - t_to
     if pk == "pf-ode-heun" and t_to > 0.0:
-        return pf_ode_step_heun(X, oracle, schedule, t_from, dt)
-    return pf_ode_step_euler(X, oracle, schedule, t_from, dt)
+        return pf_ode_step_heun(X, oracle, schedule, t_from, dt, s=s)
+    return pf_ode_step_euler(X, oracle, schedule, t_from, dt, s=s)
 
 
 def run_pc(config: RunConfig,

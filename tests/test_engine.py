@@ -643,3 +643,50 @@ def test_hybrid_reports_round_loop_iterations(monkeypatch):
     assert calls and stats.round_passes == sum(calls) == 3
     # budget-exhausted rows count their fallback decision as one more round
     assert stats.max_rounds == 4
+
+
+@pytest.mark.parametrize("rounds", [0, 1])
+def test_hybrid_counts_capped_and_budget_rows(monkeypatch, rounds):
+    # the counters against spies on the bound and the round loop: capped rows
+    # have 2C above the cap, budget rows are the rows the rounds left open;
+    # with no rounds every row within the cap is a budget row
+    oracle = gaussian_oracle(0.0, 1.0)
+    rng = np.random.default_rng(33)
+    X = rng.standard_normal((2000, 1))
+    cap, capped, still = 1.0, [], []
+    real_bound, real_rounds = engine.bound_c_batch, engine._two_coin_rounds
+
+    def bound_spy(*args, **kwargs):
+        C = real_bound(*args, **kwargs)
+        capped.append(int(np.sum(2.0 * C > cap)))
+        return C
+
+    def rounds_spy(*args, **kwargs):
+        out = real_rounds(*args, **kwargs)
+        still.append(out[3].size)
+        return out
+
+    monkeypatch.setattr(engine, "bound_c_batch", bound_spy)
+    monkeypatch.setattr(engine, "_two_coin_rounds", rounds_spy)
+    _, _, stats = engine.corrector_sweep(
+        X, oracle.score(X, 1.0), oracle, 1.0, 0.4, "hybrid", rng,
+        schedule=NoiseSchedule.edm(), bound=BoundSpec("lipschitz"),
+        rule=simpson13(), hybrid_rounds=rounds, poisson_cap=cap, steps=3)
+    assert 0 < stats.capped_rows == sum(capped) < stats.proposals
+    if rounds:
+        assert 0 < stats.budget_rows == sum(still)
+    else:
+        assert not still
+        assert stats.capped_rows + stats.budget_rows == stats.proposals
+
+
+@pytest.mark.parametrize("kind", ["two-coin", "quadrature"])
+def test_other_kinds_count_no_hybrid_paths(kind):
+    oracle = gaussian_oracle(0.0, 1.0)
+    rng = np.random.default_rng(34)
+    X = rng.standard_normal((500, 1))
+    _, _, stats = engine.corrector_sweep(
+        X, oracle.score(X, 1.0), oracle, 1.0, 0.4, kind, rng,
+        schedule=NoiseSchedule.edm(), bound=BoundSpec("lipschitz"),
+        rule=simpson13(), poisson_cap=1.0, steps=3)
+    assert (stats.capped_rows, stats.budget_rows) == (0, 0)

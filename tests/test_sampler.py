@@ -4,7 +4,7 @@ from scipy.special import expit
 
 from madm.config import config_from_dict
 from madm.diagnostics import order_fit
-from madm.errors import ConfigError
+from madm.errors import ConfigError, DomainError, NonFiniteError
 from madm.sampler import (ancestral_step, pf_ode_step_euler, pf_ode_step_heun,
                           run_pc)
 from madm.schedule import NoiseSchedule
@@ -97,6 +97,38 @@ def test_pf_ode_orders_on_linear_flow():
     heun_fit = order_fit(h_values, np.array(errs["heun"]))
     assert abs(euler_fit.slope - 1.0) < 0.15
     assert abs(heun_fit.slope - 2.0) < 0.15
+
+
+@pytest.mark.parametrize("step", ["ancestral", "euler", "heun"])
+def test_predictor_steps_take_the_callers_score(step):
+    # a given score replaces the first query and changes no bit; Heun still
+    # scores its Euler point
+    oracle = ScoreOracle(dim=2, score_fn=lambda x, t: -x / (0.25 + t ** 2))
+    sched = NoiseSchedule.edm()
+    x = np.random.default_rng(3).standard_normal((5, 2))
+    run = {"ancestral": lambda s: ancestral_step(x, oracle, 0.6, 0.1, None,
+                                                 z=np.ones_like(x), s=s),
+           "euler": lambda s: pf_ode_step_euler(x, oracle, sched, 0.6, 0.1,
+                                                s=s),
+           "heun": lambda s: pf_ode_step_heun(x, oracle, sched, 0.6, 0.1,
+                                              s=s)}[step]
+    fresh = run(None)
+    queries = oracle.queries
+    given = run(oracle.score(x, 0.6))
+    assert oracle.queries - queries == (10 if step == "heun" else 5)
+    assert given.tobytes() == fresh.tobytes()
+    with pytest.raises(DomainError, match="shape"):
+        run(np.zeros((5, 1)))
+
+
+def test_predictor_steps_check_a_given_score():
+    oracle = gaussian_oracle(0.0, 1.0)
+    sched = NoiseSchedule.edm()
+    x, s = np.ones((2, 1)), np.array([[0.0], [np.nan]])
+    with pytest.raises(NonFiniteError, match="drift"):
+        pf_ode_step_euler(x, oracle, sched, 0.6, 0.1, s=s)
+    with pytest.raises(NonFiniteError, match="ancestral"):
+        ancestral_step(x, oracle, 0.6, 0.1, None, s=s, add_noise=False)
 
 
 # -- run_pc ----------------------------------------------------------------------
@@ -253,7 +285,7 @@ def test_run_pc_summary_has_post_moments_only_where_measured():
         assert set(rows[0]) - post == {
             "t", "corrector_steps", "acceptance_rate", "mean_rounds",
             "mean_queries", "esjd", "predictor_queries", "corrector_queries",
-            "round_passes", "max_rounds"}
+            "round_passes", "max_rounds", "capped_rows", "budget_rows"}
 
 
 def test_run_pc_t_end_truncates_grid():
@@ -383,3 +415,83 @@ def test_run_pc_level_entry_score_error_names_its_level(monkeypatch):
         run_pc(cfg)
     assert str(info.value) == ("corrector at level t=0.555556: non-finite "
                                "score at chain 0, coordinate 0")
+
+
+# -- the predictor takes the corrector's scores -----------------------------------
+
+_SMALL = ["run.chains=60", "target.n_points=60", "corrector.steps=3"]
+
+
+def _small_preset(preset, *overrides):
+    from madm.config import apply_overrides, preset_run_config
+
+    return apply_overrides(preset_run_config(preset),
+                           _SMALL + list(overrides))
+
+
+@pytest.mark.parametrize("preset, overrides, reused, fresh, later", [
+    ("fig1-checkerboard", [], 60, 960, 0),
+    ("fig1-checkerboard", ["run.threads=2"], 60, 960, 0),
+    ("fig1-checkerboard", ["predictor.kind=pf-ode-heun"], 1020, 1920, 60),
+    ("spiral", [], 60, 2400, 0),
+    ("fig1-checkerboard", ["corrector.kind=none", "corrector.steps=0"],
+     960, 960, 60),
+], ids=["euler", "euler-threads2", "heun", "ancestral", "no-corrector"])
+def test_run_pc_predictor_reuses_the_correctors_scores(
+        monkeypatch, preset, overrides, reused, fresh, later):
+    # only the first level's predictor (and any after a level without a
+    # corrector) queries the states it starts from, and Heun its Euler
+    # point; the decisions and samples are those of fresh scores
+    from madm import sampler
+
+    cfg = _small_preset(preset, *overrides)
+    a = run_pc(cfg)
+    real = sampler._predictor_step
+    with monkeypatch.context() as m:
+        # reuse off: the predictor drops the scores it is handed
+        m.setattr(sampler, "_predictor_step",
+                  lambda *args, s=None, **kwargs: real(*args, **kwargs))
+        b = run_pc(cfg)
+    assert (a.predictor_queries, b.predictor_queries) == (reused, fresh)
+    assert a.per_level[0].predictor_queries == b.per_level[0].predictor_queries
+    assert {ls.predictor_queries for ls in a.per_level[1:]} == {later}
+    for ours, theirs in zip(a.per_level, b.per_level):
+        assert (ours.acceptance_rate, ours.mean_rounds,
+                ours.corrector_queries) == (theirs.acceptance_rate,
+                                            theirs.mean_rounds,
+                                            theirs.corrector_queries)
+    np.testing.assert_allclose(a.samples, b.samples, rtol=1e-12, atol=0)
+
+
+def test_run_pc_reports_the_hybrid_paths_per_level():
+    report = run_pc(_small_preset("fig1-checkerboard"))
+    rows = report.summary_dict()["per_level"]
+    capped = [row["capped_rows"] for row in rows]
+    budget = [row["budget_rows"] for row in rows]
+    assert capped == [ls.capped_rows for ls in report.per_level]
+    assert budget == [ls.budget_rows for ls in report.per_level]
+    # 60 chains x 3 steps per level; fig1's envelope is loose, so most
+    # proposals skip the exact rounds
+    assert all(c + b <= 180 for c, b in zip(capped, budget))
+    assert sum(capped) > 0.5 * 180 * len(rows)
+
+
+def test_run_pc_auto_bound_decides_every_gaussian_proposal_in_one_round():
+    # auto resolves to lipschitz-sharp on an oracle that declares L, whose C
+    # is 0 on a Gaussian target: no Poisson factor, one round per decision
+    from madm.sampler import _bound_spec
+
+    cfg = config_from_dict({
+        "target": {"kind": "gaussian", "mean": 0.0, "variance": 1.0, "dim": 1},
+        "schedule": {"kind": "edm"},
+        "predictor": {"kind": "none"},
+        "corrector": {"kind": "two-coin", "steps": 40, "step_scale": 0.5,
+                      "step_rule": "sigma"},
+        "run": {"chains": 500, "seed": 1000},
+    })
+    assert cfg.corrector.bound == "auto"
+    oracle = cfg.target.build_oracle(cfg.schedule.build())
+    assert _bound_spec(cfg, oracle).strategy == "lipschitz-sharp"
+    level = run_pc(cfg).per_level[0]
+    assert level.max_rounds == level.mean_rounds == 1
+    assert level.corrector_queries == 500 * 41
