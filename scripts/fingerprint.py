@@ -18,7 +18,9 @@ target whose line integrand is not affine (score -x + 0.8 sin x), so that
 the Poisson products draw factors, they are also two-coin and hybrid sweeps
 on the ``lipschitz-sharp`` and ``lipschitz`` envelopes (5 steps of 1000
 chains), and both replicate samplers of ``madm.adjust_exact`` on one fixed
-proposal, with and without a baseline.
+proposal under each of those envelopes: the W draws on the route's line,
+the two-coin decisions on the proposal and the route as the sweep decides
+them.
 ``madm`` is imported from ``PYTHONPATH`` (or the installed package), never
 looked up beside this file.
 """
@@ -56,8 +58,8 @@ RUNS = {
 
 RIPPLED_SWEEPS = [(kind, route) for kind in ("two-coin", "hybrid")
                   for route in ("lipschitz-sharp", "lipschitz")]
-REPLICATES = [(sampler, line) for sampler in ("w", "two-coin")
-              for line in ("baseline", "no-baseline")]
+REPLICATES = [(sampler, route) for sampler in ("w", "two-coin")
+              for route in ("lipschitz-sharp", "lipschitz")]
 
 # shrink each preset to a few seconds of work
 SMALL = {
@@ -107,26 +109,27 @@ def rippled_sweep_case(kind: str, route: str) -> str:
                    rng.bit_generator.state)
 
 
-def replicate_case(sampler: str, line: str) -> str:
-    # one fixed proposal -0.4 -> 1.1; the baseline is the line through its
-    # endpoint integrands with the sharp route's C, the other the plain C
+def replicate_case(sampler: str, route: str) -> str:
+    # one fixed proposal -0.4 -> 1.1 at h = 0.5; the W draws run from x with
+    # the route's C, on the line through the endpoint integrands on the
+    # sharp route
     oracle = rippled_oracle()
     X, Xt = np.array([[-0.4]]), np.array([[1.1]])
     S, St = oracle.score(X, 1.0), oracle.score(Xt, 1.0)
-    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, 0.5)
-    route = "lipschitz-sharp" if line == "baseline" else "lipschitz"
-    C = float(engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0,
-                                   BoundSpec(route), NoiseSchedule.edm(),
-                                   oracle)[0])
-    kw = ({"baseline": (float(f0[0]), float(f1[0] - f0[0]))}
-          if line == "baseline" else {})
     rng = np.random.default_rng(2026)
-    if sampler == "w":
+    if sampler == "two-coin":
+        out = two_coin_replicates(X, Xt, S, St, 0.5, 1.0, BoundSpec(route),
+                                  oracle, rng, 5_000)
+        out.pop("swap")   # a function of the proposal, not of the draws
+    else:
+        V, f0, f1, _ = engine._endpoint_terms(X, Xt, S, St, 0.5)
+        C = float(engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0,
+                                       BoundSpec(route), NoiseSchedule.edm(),
+                                       oracle)[0])
+        kw = ({"baseline": (float(f0[0]), float(f1[0] - f0[0]))}
+              if route == "lipschitz-sharp" else {})
         out = {"w": poisson_w_replicates(X[0], V[0], C, 1.0, oracle, rng,
                                          20_000, **kw)}
-    else:
-        out = two_coin_replicates(X[0], V[0], C, 1.0, float(logH[0]), oracle,
-                                  rng, 5_000, **kw)
     return _digest(*(np.asarray(out[k]).tobytes() for k in sorted(out)),
                    rng.bit_generator.state)
 
@@ -153,8 +156,8 @@ def main() -> int:
     for kind, route in RIPPLED_SWEEPS:
         print(f"{rippled_sweep_case(kind, route)}  rippled-{kind}-{route}",
               flush=True)
-    for sampler, line in REPLICATES:
-        print(f"{replicate_case(sampler, line)}  replicates-{sampler}-{line}",
+    for sampler, route in REPLICATES:
+        print(f"{replicate_case(sampler, route)}  replicates-{sampler}-{route}",
               flush=True)
     return 0
 

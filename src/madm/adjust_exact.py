@@ -27,7 +27,8 @@ for which the formulas above hold as written.
 
 The decisions and the envelope C run in :mod:`madm.engine`; this module
 holds the closed-form costs and the replicate samplers that the
-verification suites replay on one fixed proposal.
+verification suites replay on one fixed proposal, the two-coin decisions
+in the frame the sampler's sweep picks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .engine import DEFAULT_MAX_ROUNDS
+from .engine import DEFAULT_MAX_ROUNDS, BoundSpec
 from .errors import DomainError
 from .targets import ScoreOracle
 
@@ -67,22 +68,13 @@ def _check_cost_args(C, H, r):
 # Replicate samplers (verification instrumentation)
 #
 # The verification suites need 1e5..1e6 independent replays of the factory on
-# a fixed proposal x -> x + v at level t; these run the engine kernels on n
-# broadcast copies of its row, so replicate i is reported as chain i.
+# a fixed proposal at level t; these run the engine kernels on n broadcast
+# copies of its row, so replicate i is reported as chain i.
 # ---------------------------------------------------------------------------
 
-def _replicate_rows(x, v, C: float, baseline, n: int):
-    """(x, v, C) and the line (a, b) as read-only views of n identical
-    rows."""
-    _check_c(C)
-    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    if x.ndim != 1 or x.shape != v.shape:
-        raise DomainError(f"x and v must be aligned 1-D arrays, got shapes "
-                          f"{x.shape} and {v.shape}")
-    d = x.shape[0]
-    return (np.broadcast_to(x, (n, d)), np.broadcast_to(v, (n, d)),
-            np.broadcast_to(float(C), (n,)),
-            tuple(np.broadcast_to(float(part), (n,)) for part in baseline))
+def _broadcast(row, n: int):
+    """A read-only view of n copies of ``row``, a one-row array or a scalar."""
+    return np.broadcast_to(row, (n,) + np.shape(row)[1:])
 
 
 def poisson_w_replicates(x, v, C: float, t: float, oracle: ScoreOracle,
@@ -94,36 +86,51 @@ def poisson_w_replicates(x, v, C: float, t: float, oracle: ScoreOracle,
     ``baseline = (a, b)``, which C must bound, and e^C E[W] = r e^{-(a + b/2)};
     the default zero line leaves the integrand f itself.
     """
-    X, V, C_rows, base = _replicate_rows(x, v, C, baseline, n)
+    _check_c(C)
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    if x.ndim != 1 or x.shape != v.shape:
+        raise DomainError(f"x and v must be aligned 1-D arrays, got shapes "
+                          f"{x.shape} and {v.shape}")
+    C_rows = _broadcast(float(C), n)
     counts = rng.poisson(2.0 * C_rows)
-    return engine._factor_products(X, V, C_rows, np.arange(n), counts, t,
-                                   oracle, rng, base=base)
+    return engine._factor_products(
+        _broadcast(x[None, :], n), _broadcast(v[None, :], n), C_rows,
+        np.arange(n), counts, t, oracle, rng,
+        base=tuple(_broadcast(float(part), n) for part in baseline))
 
 
-def two_coin_replicates(x, v, C: float, t: float, log_h: float,
+def two_coin_replicates(X, Xt, S, St, h: float, t: float, bound: BoundSpec,
                         oracle: ScoreOracle, rng: np.random.Generator, n: int,
                         max_rounds: int = DEFAULT_MAX_ROUNDS, *,
-                        baseline=(0.0, 0.0)) -> dict:
-    """n independent two-coin decisions for the proposal x -> x + v whose
-    proposal log-ratio is ``log_h`` (batched).
+                        schedule=None) -> dict:
+    """n independent two-coin decisions on the one-row proposal X -> Xt
+    (endpoint scores S and St, step h, level t), made as
+    :func:`madm.engine.corrector_sweep` makes them: C on ``bound``
+    (``schedule`` serves the bounded-denoiser route), frame and swap included.
 
-    Returns arrays: ``accept`` (bool), ``rounds``, ``poisson_total`` and the
-    scalar total of interior score queries.  Each frame runs from x, without
-    the direction swap of :func:`madm.engine.corrector_sweep`; both have
-    Barker's acceptance law.  The decisions run the affine split after the
-    line ``baseline = (a, b)``: the W-coin on the remainder f(u) - a - b u,
-    which C must bound, and the line's integral a + b/2 added to ``log_h``.
-    The default zero line leaves the whole integrand and ``log_h``.
+    Returns ``accept`` (bool, in the original direction), ``rounds``,
+    ``poisson_total``, the total interior ``score_queries``, and ``swap``:
+    rounds run from Xt back to X cost :func:`expected_rounds` at 1/H and 1/r.
     """
+    X, Xt, S, St = (np.asarray(a, dtype=float) for a in (X, Xt, S, St))
+    if (X.ndim != 2 or X.shape[0] != 1
+            or {a.shape for a in (Xt, S, St)} != {X.shape}):
+        raise DomainError("X, Xt, S and St must be aligned one-row arrays")
     queries_before = oracle.queries
-    X, V, C_rows, base = _replicate_rows(x, v, C, baseline, n)
-    log_h = log_h + baseline[0] + 0.5 * baseline[1]
-    log_h_rows = np.broadcast_to(float(log_h), (n,))
+    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
+    C = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, t, bound, schedule,
+                             oracle)
+    swap, Xa, Va, log_h_a, base = engine._exact_frame(X, Xt, V, f0, f1, logH,
+                                                      bound)
     accept, rounds, poisson, _ = engine._two_coin_rounds(
-        X, V, log_h_rows, C_rows, t, oracle, rng, max_rounds, base=base)
+        _broadcast(Xa, n), _broadcast(Va, n), _broadcast(log_h_a, n),
+        _broadcast(C, n), t, oracle, rng, max_rounds,
+        base=tuple(_broadcast(part, n) for part in base),
+        swap=_broadcast(swap, n))
     return {
         "accept": accept,
         "rounds": rounds,
         "poisson_total": poisson,
         "score_queries": oracle.queries - queries_before,
+        "swap": bool(swap[0]),
     }

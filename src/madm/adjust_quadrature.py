@@ -57,11 +57,6 @@ class QuadratureRule:
     def interior_nodes(self) -> np.ndarray:
         return self.nodes[1:-1]
 
-    @property
-    def extra_queries(self) -> int:
-        """Score queries beyond the cached endpoints, per proposal."""
-        return self.nodes.size - 2
-
 
 def trapezoid() -> QuadratureRule:
     return QuadratureRule("trapezoid", np.array([0.0, 1.0]),

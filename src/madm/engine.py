@@ -21,11 +21,11 @@ the pass that proposed, for the rows whose Poisson mean 2C is within
 ``poisson_cap``.  Every row those rounds leave open under hybrid, and every
 row of the other kinds, is decided at once (:func:`_accept_at_once`), so
 these kinds move their chains in lockstep.  The replicate samplers of
-:mod:`madm.adjust_exact` run the same kernels on broadcast views of one
-fixed proposal, and the verification suites call them on one-row arrays.
+:mod:`madm.adjust_exact` run the same kernels and frame on broadcast views
+of one fixed proposal, which the verification suites give as one-row arrays.
 
 The exact rounds run each pair in the canonical direction of
-:func:`_swap_rows`, the cheaper one (Barker satisfies
+:func:`_exact_frame`, the cheaper one (Barker satisfies
 alpha(x -> y) = 1 - alpha(y -> x), so negating the reversed decision leaves
 the law unchanged while taming the e^{log H} factor in the round count).
 The rule is antisymmetric, so a move and its reverse run the same frame:
@@ -37,7 +37,7 @@ one minus the reverse move's.
 Every envelope is an affine split: a line l(u) = a + b u is subtracted from
 the integrand, its exact integral E joins log H, and C bounds the remainder,
 so the factory's cost is that of H e^E and the remainder's C.
-:func:`_envelope_line` picks the line: the ``lipschitz-sharp`` route takes
+:func:`_exact_frame` picks the line: the ``lipschitz-sharp`` route takes
 the one through the endpoint integrands f(0) and f(1) (its remainder's C is
 0 on Gaussian targets), every other route the zero line, so its C bounds
 the whole integrand.
@@ -194,7 +194,8 @@ def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
                   schedule: NoiseSchedule, oracle: ScoreOracle,
                   chains=None) -> np.ndarray:
     """Row-wise envelope C(x, x_tilde) on the line integrand's remainder
-    after :func:`_envelope_line`: the whole integrand but on the sharp route.
+    after the line of :func:`_exact_frame`: the whole integrand but on the
+    sharp route.
 
     Bounded-denoiser route (Tweedie: the posterior mean of the clean data
     lies in a centred ball of radius b):
@@ -284,16 +285,6 @@ def _remainder_bound(f0, f1, lip_v, chains=None) -> np.ndarray:
     return c + 1e-12 * (np.abs(f0) + np.abs(f1) + lip_v)
 
 
-def _envelope_line(f0, f1, spec: BoundSpec):
-    """(E, a, b): the line l(u) = a + b u that ``spec``'s C leaves out of the
-    integrand, and its exact integral E, which joins log H.  The sharp
-    route's line runs through f(0) and f(1); every other route's is zero."""
-    if spec.strategy == LIPSCHITZ_SHARP:
-        return 0.5 * (f0 + f1), f0, f1 - f0
-    zero = np.zeros_like(f0)
-    return zero, zero, zero
-
-
 def log_h_batch(V, S, St, h: float) -> np.ndarray:
     """Row-wise log of the proposal ratio q(x | x_tilde) / q(x_tilde | x),
     from the displacements v = x_tilde - x and the endpoint scores."""
@@ -348,19 +339,19 @@ def _envelope_error(block, integrands, rows, C, chains):
 
 
 def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
-                     round_limit=None, chains=None, *, base):
-    """Masked two-coin rounds; returns per-row frame outcomes.
+                     round_limit=None, chains=None, *, base, swap):
+    """Masked two-coin rounds on each row's :func:`_exact_frame`; returns
+    (accept, rounds, Poisson counts, undecided rows).
 
     Each round rejects outright with probability alpha' = (1 + H e^C)^{-1},
     otherwise accepts with probability W, otherwise restarts.
     ``round_limit`` caps the number of rounds without treating the cap as an
-    error (one two-coin pass, or hybrid's ``hybrid_rounds``); rows still
-    undecided are reported in the fourth return value.  Without it,
-    exhausting ``max_rounds`` raises.  ``chains``
-    maps rows to the chain numbers that errors report.  The W-coin runs on
-    the remainder after each row's line ``base = (a, b)`` (see
-    :func:`_factor_products`), ``C`` bounds that remainder and ``log_h_a``
-    already holds log H + E.
+    error (one two-coin pass, or hybrid's ``hybrid_rounds``); the rows still
+    undecided, whose ``accept`` means nothing, are the fourth value.
+    Without it, exhausting ``max_rounds`` raises.  ``chains`` maps rows to
+    the chain numbers that errors report.  The W-coin runs on the remainder
+    after the line ``base = (a, b)``, which ``C`` bounds, ``log_h_a`` holds
+    log H + E, and ``accept`` negates the ``swap`` rows' frame decisions.
     """
     n = Xa.shape[0]
     alpha_prime = expit(-(log_h_a + C))
@@ -386,7 +377,7 @@ def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
             break
     if active.size and round_limit is None:
         raise _stuck_error(active, max_rounds, C, log_h_a, chains)
-    return frame_accept, rounds, poisson, active
+    return frame_accept ^ swap, rounds, poisson, active
 
 
 def _stuck_error(stuck, max_rounds, C, log_h_a, chains=None):
@@ -406,27 +397,26 @@ def _endpoint_terms(X, Xt, S, St, h):
     return V, _row_dot(S, V), _row_dot(St, V), log_h_batch(V, S, St, h)
 
 
-def _swap_rows(f0, f1, logH, exact):
-    """Rows cheaper to decide from x_tilde: log H + 2E above the trapezoid
-    estimate (f(0) + f(1)) / 2 of log r, where ``exact`` is the integral E
-    of the envelope's line.  On the sharp route E is that estimate, and the
-    rule reads H e^E > 1."""
-    return logH + 2.0 * exact > 0.5 * (f0 + f1)
+def _exact_frame(X, Xt, V, f0, f1, logH, spec: BoundSpec):
+    """(swap, start, direction, log H + E, (a, b)) of each row's exact
+    rounds: the one place that knows the swap rule and the envelope's line.
 
-
-def _decision_frame(X, Xt, V, logH, swap):
-    """(start, direction, log H) of each row's exact rounds, two-coin's or
-    hybrid's.  The ``swap`` rows run from x_tilde back to x; their callers
-    negate the decision the round loop returns for them.  ``logH`` holds
-    log H + E, whose sign flips with the direction too."""
-    return (np.where(swap[:, None], Xt, X), np.where(swap[:, None], -V, V),
-            np.where(swap, -logH, logH))
-
-
-def _frame_baseline(a, b, swap):
-    """The envelope's line a + b u seen from each row's frame: a swapped
-    row runs u' = 1 - u along -v, where the line reads (-a - b) + b u'."""
-    return np.where(swap, -a - b, a), b
+    ``spec``'s C leaves the line l(u) = a + b u out of the integrand, with
+    exact integral E: through f(0) and f(1) on the sharp route, zero on the
+    others.  A row swaps to run from x_tilde back to x along -v when
+    log H + 2E exceeds the trapezoid estimate (f(0) + f(1)) / 2 of log r (on
+    the sharp route, when H e^E > 1); it then sees -(log H + E) and, along
+    u' = 1 - u, the line (-a - b) + b u'.
+    """
+    if spec.strategy == LIPSCHITZ_SHARP:
+        exact, a, b = 0.5 * (f0 + f1), f0, f1 - f0
+    else:
+        exact = a = b = np.zeros_like(f0)
+    swap = logH + 2.0 * exact > 0.5 * (f0 + f1)
+    log_h = logH + exact
+    return (swap, np.where(swap[:, None], Xt, X),
+            np.where(swap[:, None], -V, V), np.where(swap, -log_h, log_h),
+            (np.where(swap, -a - b, a), b))
 
 
 def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule,
@@ -557,11 +547,9 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                     if kind in ("two-coin", "hybrid"):
                         C[free] = bound_c_batch(x, xt, s, st, v, e0, e1, t,
                                                 bound, schedule, oracle, free)
-                        e, a, b = _envelope_line(e0, e1, bound)
-                        swap[free] = sw = _swap_rows(e0, e1, lh, e)
-                        A[free], B[free] = _frame_baseline(a, b, sw)
-                        Xa[free], Va[free], Ha[free] = _decision_frame(
-                            x, xt, v, lh + e, sw)
+                        (swap[free], Xa[free], Va[free], Ha[free],
+                         (A[free], B[free])) = _exact_frame(
+                            x, xt, v, e0, e1, lh, bound)
                 rounds[free] = 0
                 pending[free] = True
                 proposed += free.size
@@ -591,10 +579,11 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
             else:
                 runs = active[:0]
             if runs.size:
-                frame_accept, ran, poisson, still = _two_coin_rounds(
+                ran_accept, ran, poisson, still = _two_coin_rounds(
                     Xa.take(runs, axis=0), Va.take(runs, axis=0), Ha[runs],
                     C[runs], t, oracle, rng, max_rounds, round_limit=limit,
-                    chains=runs, base=(A.take(runs), B.take(runs)))
+                    chains=runs, base=(A.take(runs), B.take(runs)),
+                    swap=swap[runs])
                 rounds[runs] += ran
                 stats.round_passes += int(ran.max())
                 stats.poisson_total += int(poisson.sum())
@@ -606,14 +595,14 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                 decided = np.ones(runs.size, dtype=bool)
                 decided[still] = False
                 rows = runs[decided]
-                moved = rows[frame_accept[decided] ^ swap[rows]]
+                moved = rows[ran_accept[decided]]
             else:
                 # every chain proposed in this pass, so the rows are the chains
                 rows = once = active
                 accept = np.empty(n, dtype=bool)
                 if runs.size:
                     # the rows still open join the capped rows
-                    accept[runs] = frame_accept ^ swap[runs]
+                    accept[runs] = ran_accept
                     once = np.concatenate([active[capped], runs[still]])
                     stats.budget_rows += still.size
                 accept[once] = _accept_at_once(

@@ -5,9 +5,9 @@ independent closed-form or statistical oracle and returns a dictionary with
 a boolean ``pass`` plus the measured numbers.  The suites state each fixed
 proposal as one-row arrays and call the batched kernels of
 :mod:`madm.engine` and the replicate samplers of :mod:`madm.adjust_exact`
-on them directly.  Suite sizes here are chosen to finish in seconds; the
-acceptance test suite runs the same checks at their full stated sample
-sizes.
+on them directly; the two-coin replicates run the sweep's own frame.  Suite
+sizes here are chosen to finish in seconds; the acceptance test suite runs
+the same checks at their full stated sample sizes.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def suite_lemma1(seed: int = 0, n: int = 200_000) -> dict:
 
 
 def _exactness_cases(rng: np.random.Generator, count: int):
-    """Randomised (oracle, x, v, t, C, log H, alpha) cases with sane factory
-    cost.
+    """Randomised (oracle, pair (X, Xt, S, St), h, t, bound, C, alpha) cases
+    with sane factory cost.
 
     Half the cases are Gaussians (Lipschitz envelope), half 3-component
     mixtures (bounded-denoiser envelope).  Cases whose H e^C exceeds 50 are
@@ -112,7 +112,7 @@ def _exactness_cases(rng: np.random.Generator, count: int):
         if lh + c > np.log(50.0):
             continue
         alpha = float(np.exp(lh + log_ratio) / (1.0 + np.exp(lh + log_ratio)))
-        cases.append((oracle, X[0], V[0], t, c, lh, alpha))
+        cases.append((oracle, (X, Xt, S, St), h, t, spec, c, alpha))
     return cases
 
 
@@ -124,28 +124,30 @@ def suite_two_coin_exactness(seed: int = 1, n_configs: int = 6,
     worst = 0.0
     rows = []
     ok = True
-    for oracle, x, v, t, c, lh, alpha in cases:
-        rep = two_coin_replicates(x, v, c, t, lh, oracle, rng, n)
+    for oracle, pair, h, t, spec, c, alpha in cases:
+        rep = two_coin_replicates(*pair, h, t, spec, oracle, rng, n,
+                                  schedule=NoiseSchedule.edm())
         freq = float(rep["accept"].mean())
         stderr = float(np.sqrt(alpha * (1.0 - alpha) / n))
         z = abs(freq - alpha) / stderr
         worst = max(worst, z)
         ok = ok and z <= 3.0
         rows.append({"target": oracle.name, "C": c, "alpha": alpha,
-                     "freq": freq, "z": z})
+                     "freq": freq, "z": z, "swap": rep["swap"]})
     return {"suite": "two-coin-exactness", "pass": bool(ok), "n": n,
             "configs": len(cases), "worst_z": worst, "cases": rows}
 
 
 def suite_prop2_queries(seed: int = 2, n: int = 200_000,
                         tolerance: float = 0.02) -> dict:
-    """Mean rounds and score queries of the loop vs their closed forms."""
+    """Mean rounds and score queries vs closed forms in the rounds' frame."""
     rng = np.random.default_rng(seed)
-    oracle, (X, Xt, S, St) = unit_h_fixture_proposal()
+    oracle, rows = unit_h_fixture_proposal()
     c, h_ratio, r = 1.0, 1.0, GAUSSIAN_FIXTURE_R
-    V = Xt - X
-    log_h = engine.log_h_batch(V, S, St, 0.5)[0]
-    rep = two_coin_replicates(X[0], V[0], c, 1.0, log_h, oracle, rng, n)
+    rep = two_coin_replicates(*rows, 0.5, 1.0, BoundSpec("manual", c), oracle,
+                              rng, n)
+    if rep["swap"]:
+        h_ratio, r = 1.0 / h_ratio, 1.0 / r
     mean_rounds = float(rep["rounds"].mean())
     mean_queries = float(rep["score_queries"]) / n
     want_rounds = float(expected_rounds(c, h_ratio, r))
@@ -235,7 +237,7 @@ def corrector_bias_config(kind: str, chains: int, steps: int,
         "predictor": {"kind": "none"},
         "corrector": {"kind": kind, "steps": steps, "step_scale": 0.5,
                       "step_rule": "sigma",
-                      "bound": "lipschitz-sharp" if kind == "two-coin" else "auto"},
+                      "bound": "auto"},
         "run": {"chains": chains, "seed": seed},
     })
 

@@ -27,7 +27,13 @@ def one_row(x, x_tilde, oracle, t, h, scores=None):
     S, St = (oracle.score(X, t), oracle.score(Xt, t)) if scores is None else scores
     V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
     return SimpleNamespace(X=X, Xt=Xt, S=S, St=St, V=V, f0=f0, f1=f1, t=t,
-                           x=X[0], v=V[0], log_h=float(logH[0]))
+                           h=h, x=X[0], v=V[0], log_h=float(logH[0]))
+
+
+def replicates(p, bound, oracle, rng, n, **kw):
+    """Two-coin replicates of the one-row proposal ``p``."""
+    return two_coin_replicates(p.X, p.Xt, p.S, p.St, p.h, p.t, bound, oracle,
+                               rng, n, **kw)
 
 
 def bound_c(p, spec, schedule, oracle):
@@ -190,45 +196,40 @@ def test_alpha_prime_limit_never_rejects():
 
 def test_null_move_decides_round_one_at_half():
     oracle, p = null_move_proposal()
-    rep = two_coin_replicates(p.x, p.v, 0.0, p.t, p.log_h, oracle,
-                              np.random.default_rng(5), 4000)
+    rep = replicates(p, BoundSpec("manual", 0.0), oracle,
+                     np.random.default_rng(5), 4000)
     assert np.all(rep["rounds"] == 1)
     freq = rep["accept"].mean()
     assert abs(freq - 0.5) < 4.0 * np.sqrt(0.25 / 4000)
 
 
 def test_two_coin_acceptance_matches_barker_probability():
-    oracle, p = fixture_proposal()
+    # the fixture pair run backwards, 1 -> 0, which the rule runs forward:
+    # log H = -0.4375 <= (f(0) + f(1)) / 2 = 0.5
+    oracle = gaussian_oracle(0.0, 1.0)
+    p = one_row([1.0], [0.0], oracle, t=1.0, h=0.5)
     rng = np.random.default_rng(6)
     c = bound_c(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
     assert c == pytest.approx(1.5)
-    alpha = expit(p.log_h + np.log(R_FIXTURE))
+    alpha = expit(p.log_h - np.log(R_FIXTURE))
     n = 20_000
-    hits = two_coin_replicates(p.x, p.v, c, p.t, p.log_h, oracle, rng,
-                               n)["accept"].sum()
+    rep = replicates(p, BoundSpec("lipschitz"), oracle, rng, n)
+    assert not rep["swap"]
     se = np.sqrt(alpha * (1 - alpha) / n)
-    assert abs(hits / n - alpha) < 4.0 * se
+    assert abs(rep["accept"].mean() - alpha) < 4.0 * se
 
 
 def test_two_coin_swap_direction_preserves_the_law():
+    # the sweep's own rule runs this fixture from x_tilde back to x:
+    # log H = 0.4375 > (f(0) + f(1)) / 2 = -0.5
     oracle, p = fixture_proposal()
     n = 20_000
-    X, Xt, S, St = (np.broadcast_to(a, (n, 1)) for a in (p.X, p.Xt, p.S, p.St))
-    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, 0.5)
-    # the sweep's own rule picks the reversed direction on this fixture:
-    # log H = 0.4375 > (f(0) + f(1)) / 2 = -0.5
-    zero = np.zeros(n)   # the line of a whole-integrand envelope
-    swap = engine._swap_rows(f0, f1, logH, zero)
-    assert swap.all()
-    frame_accept, _, _, _ = engine._two_coin_rounds(
-        *engine._decision_frame(X, Xt, V, logH, swap), np.full(n, 1.5), p.t,
-        oracle, np.random.default_rng(7), engine.DEFAULT_MAX_ROUNDS,
-        base=(zero, zero))
-    accept = frame_accept ^ swap
+    rep = replicates(p, BoundSpec("lipschitz"), oracle,
+                     np.random.default_rng(7), n)
+    assert rep["swap"]
     alpha = expit(p.log_h + np.log(R_FIXTURE))
-    hits = accept.sum()
     se = np.sqrt(alpha * (1 - alpha) / n)
-    assert abs(hits / n - alpha) < 4.0 * se
+    assert abs(rep["accept"].mean() - alpha) < 4.0 * se
 
 
 def test_two_coin_rounds_law_on_unit_h_fixture():
@@ -236,7 +237,8 @@ def test_two_coin_rounds_law_on_unit_h_fixture():
     assert p.log_h == 0.0
     rng = np.random.default_rng(8)
     n = 30_000
-    rep = two_coin_replicates(p.x, p.v, 1.0, p.t, p.log_h, oracle, rng, n)
+    rep = replicates(p, BoundSpec("manual", 1.0), oracle, rng, n)
+    assert not rep["swap"]
     want = expected_rounds(1.0, 1.0, R_FIXTURE)
     rounds = rep["rounds"]
     se = rounds.std(ddof=1) / np.sqrt(n)
@@ -245,11 +247,32 @@ def test_two_coin_rounds_law_on_unit_h_fixture():
     assert rep["score_queries"] / n == pytest.approx(want_q, rel=0.05)
 
 
+def test_two_coin_rounds_law_in_the_swapped_frame():
+    # the rule swaps the fixture (log H = 0.4375 > -0.5), so the rounds cost
+    # what the reverse move costs, at 1/H and 1/r: about 1.89 rounds, where
+    # the forward frame would take about 4.09
+    oracle, p = fixture_proposal()
+    n = 30_000
+    rep = replicates(p, BoundSpec("manual", 1.5), oracle,
+                     np.random.default_rng(18), n)
+    assert rep["swap"]
+    h_ratio = np.exp(p.log_h)
+    want = expected_rounds(1.5, 1.0 / h_ratio, 1.0 / R_FIXTURE)
+    assert want == pytest.approx(1.886, abs=1e-3)
+    assert expected_rounds(1.5, h_ratio, R_FIXTURE) == pytest.approx(
+        4.095, abs=1e-3)
+    rounds = rep["rounds"]
+    se = rounds.std(ddof=1) / np.sqrt(n)
+    assert abs(rounds.mean() - want) < 4.0 * se
+    want_q = expected_queries(1.5, 1.0 / h_ratio, 1.0 / R_FIXTURE)
+    assert rep["score_queries"] / n == pytest.approx(want_q, rel=0.05)
+
+
 def test_two_coin_records_cost_fields():
     oracle, p = fixture_proposal()
     before = oracle.queries
-    rep = two_coin_replicates(p.x, p.v, 1.5, p.t, p.log_h, oracle,
-                              np.random.default_rng(9), 1)
+    rep = replicates(p, BoundSpec("manual", 1.5), oracle,
+                     np.random.default_rng(9), 1)
     assert rep["accept"].dtype == bool
     assert rep["rounds"][0] >= 1
     assert rep["poisson_total"][0] >= 0
@@ -260,8 +283,8 @@ def test_two_coin_records_cost_fields():
 def test_two_coin_nontermination_carries_diagnostics():
     oracle, p = unit_h_proposal()
     with pytest.raises(NonterminationError) as excinfo:
-        two_coin_replicates(p.x, p.v, 30.0, p.t, p.log_h, oracle,
-                            np.random.default_rng(10), 1, max_rounds=25)
+        replicates(p, BoundSpec("manual", 30.0), oracle,
+                   np.random.default_rng(10), 1, max_rounds=25)
     err = excinfo.value
     assert err.rounds == 25
     assert err.c_bound == 30.0
@@ -285,15 +308,15 @@ def test_two_coin_decision_rejects_nonfinite_interior_score():
     oracle, p = _nan_interior_proposal()
     # with C = 30 the first coin (1 + H e^C)^{-1} essentially never rejects
     with pytest.raises(NonFiniteError, match="interior score at chain 0"):
-        two_coin_replicates(p.x, p.v, 30.0, p.t, p.log_h, oracle,
-                            np.random.default_rng(13), 1)
+        replicates(p, BoundSpec("manual", 30.0), oracle,
+                   np.random.default_rng(13), 1)
 
 
 def test_two_coin_replicates_reject_nonfinite_interior_score():
     oracle, p = _nan_interior_proposal()
     with pytest.raises(NonFiniteError, match="interior score at chain"):
-        two_coin_replicates(p.x, p.v, 1.5, p.t, p.log_h, oracle,
-                            np.random.default_rng(14), 500)
+        replicates(p, BoundSpec("manual", 1.5), oracle,
+                   np.random.default_rng(14), 500)
 
 
 def test_replicates_do_not_depend_on_the_factor_block(monkeypatch):
@@ -302,8 +325,8 @@ def test_replicates_do_not_depend_on_the_factor_block(monkeypatch):
     c = bound_c(p, BoundSpec("lipschitz"), NoiseSchedule.edm(), oracle)
 
     def run():
-        rep = two_coin_replicates(p.x, p.v, c, p.t, p.log_h, oracle,
-                                  np.random.default_rng(15), 3000)
+        rep = replicates(p, BoundSpec("lipschitz"), oracle,
+                         np.random.default_rng(15), 3000)
         w = poisson_w_replicates(p.x, p.v, c, p.t, oracle,
                                  np.random.default_rng(16), 3000)
         return rep, w
@@ -317,11 +340,11 @@ def test_replicates_do_not_depend_on_the_factor_block(monkeypatch):
     np.testing.assert_array_equal(w7, w)
 
 
-def _replicates(sampler, oracle, x, v, C):
+def _replicates(sampler, oracle, p, C):
     rng = np.random.default_rng(17)
     if sampler == "two-coin":
-        return two_coin_replicates(x, v, C, 1.0, 0.0, oracle, rng, 10)
-    return poisson_w_replicates(x, v, C, 1.0, oracle, rng, 10)
+        return replicates(p, BoundSpec("manual", C), oracle, rng, 10)
+    return poisson_w_replicates(p.x, p.v, C, 1.0, oracle, rng, 10)
 
 
 @pytest.mark.parametrize("sampler", ["two-coin", "w"])
@@ -329,15 +352,18 @@ def _replicates(sampler, oracle, x, v, C):
 def test_replicates_reject_a_non_finite_envelope(sampler, C):
     oracle, p = fixture_proposal()
     with pytest.raises(DomainError, match="finite"):
-        _replicates(sampler, oracle, p.x, p.v, C)
+        _replicates(sampler, oracle, p, C)
 
 
 @pytest.mark.parametrize("sampler", ["two-coin", "w"])
 def test_replicates_need_aligned_1d_rows(sampler):
+    # the W sampler takes 1-D x and v, the two-coin sampler one-row arrays
     oracle, p = fixture_proposal()
-    for x, v in ((p.X, p.V), (p.x, np.zeros(2))):
-        with pytest.raises(DomainError, match="aligned 1-D"):
-            _replicates(sampler, oracle, x, v, 1.5)
+    for wrong in ({"x": p.X, "v": p.V, "X": np.vstack([p.X, p.X])},
+                  {"v": np.zeros(2), "St": np.zeros((1, 2))}):
+        with pytest.raises(DomainError, match="aligned 1-D|one-row arrays"):
+            _replicates(sampler, oracle, SimpleNamespace(**{**vars(p),
+                                                            **wrong}), 1.5)
 
 
 # -- closed-form cost ------------------------------------------------------------

@@ -49,7 +49,7 @@ def test_rule_weights():
 @pytest.mark.parametrize("name,extra", [("trapezoid", 0), ("simpson13", 1),
                                         ("simpson38", 2)])
 def test_rule_interior_counts(name, extra):
-    assert rule_by_name(name).extra_queries == extra
+    assert rule_by_name(name).interior_nodes.size == extra
 
 
 def test_rule_by_name_unknown():

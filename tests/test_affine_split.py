@@ -117,12 +117,14 @@ RIPPLED_PROPOSALS = [(-0.4, 1.1), (1.3, 2.4), (2.6, 1.5)]
 
 
 def fixed_proposal(x, xt, h=0.5):
-    """One rippled proposal x -> xt: its row, its split and log r."""
+    """One rippled proposal x -> xt: its rows, its split and log r."""
     oracle = rippled_oracle()
     X, Xt = np.array([[x]]), np.array([[xt]])
     V, f0, f1, logH, C = rows(oracle, X, Xt, h)
     log_p = oracle.log_density(np.vstack([X, Xt]), 1.0)
     return oracle, SimpleNamespace(
+        X=X, Xt=Xt, S=oracle.score(X, 1.0), St=oracle.score(Xt, 1.0), h=h,
+        terms=(V, f0, f1, logH),
         x=X[0], v=V[0], a=float(f0[0]), b=float(f1[0] - f0[0]),
         exact=float(0.5 * (f0[0] + f1[0])), log_h=float(logH[0]),
         c=float(C[0]), log_r=float(log_p[1] - log_p[0]))
@@ -146,23 +148,22 @@ def test_remainder_w_is_unbiased(x, xt):
 @pytest.mark.parametrize("x, xt", RIPPLED_PROPOSALS)
 @pytest.mark.parametrize("frame", ["forward", "swapped"])
 def test_split_two_coin_is_barker_in_both_frames(x, xt, frame):
-    oracle, p = fixed_proposal(x, xt)
+    # a move and its reverse, scores exchanged: on either route the rule
+    # swaps exactly one of the two, and the replicates of the one it runs in
+    # ``frame`` read that move's Barker alpha
     n = 20_000
-    rng = np.random.default_rng(42)
-    if frame == "forward":
-        accept = two_coin_replicates(p.x, p.v, p.c, 1.0, p.log_h, oracle,
-                                     rng, n, baseline=(p.a, p.b))["accept"]
-    else:
-        # from x_tilde along -v, with the line seen from that end; the
-        # decision is the negated reverse decision
-        a, b = engine._frame_baseline(np.array([p.a]), np.array([p.b]),
-                                      np.array([True]))
-        accept = ~two_coin_replicates(
-            p.x + p.v, -p.v, p.c, 1.0, -p.log_h, oracle, rng, n,
-            baseline=(a[0], b[0]))["accept"]
-    alpha = expit(p.log_h + p.log_r)
-    se = np.sqrt(alpha * (1 - alpha) / n)
-    assert abs(accept.mean() - alpha) < 4.0 * se
+    moves = [fixed_proposal(*pair) for pair in ((x, xt), (xt, x))]
+    for bound in (SHARP, BoundSpec("lipschitz")):
+        swaps = [bool(engine._exact_frame(p.X, p.Xt, *p.terms, bound)[0][0])
+                 for _, p in moves]
+        assert swaps.count(True) == 1
+        oracle, p = moves[swaps.index(frame == "swapped")]
+        rep = two_coin_replicates(p.X, p.Xt, p.S, p.St, p.h, 1.0, bound,
+                                  oracle, np.random.default_rng(42), n)
+        assert rep["swap"] == (frame == "swapped")
+        alpha = expit(p.log_h + p.log_r)
+        se = np.sqrt(alpha * (1 - alpha) / n)
+        assert abs(rep["accept"].mean() - alpha) < 4.0 * se
 
 
 # -- the engine's frame ----------------------------------------------------------------

@@ -294,11 +294,12 @@ def test_two_coin_rounds_same_on_broadcast_and_copied_rows():
     n = 2000
     views = (np.broadcast_to(x, (n, 2)), np.broadcast_to(v, (n, 2)),
              np.broadcast_to(-0.2, (n,)), np.broadcast_to(1.1, (n,)),
-             np.broadcast_to(0.0, (n,)), np.broadcast_to(0.0, (n,)))
+             np.broadcast_to(0.0, (n,)), np.broadcast_to(0.0, (n,)),
+             np.broadcast_to(True, (n,)))
     copies = tuple(np.array(a) for a in views)
     out = [engine._two_coin_rounds(*rows[:4], 1.0, oracle,
                                    np.random.default_rng(19), 1000,
-                                   base=rows[4:])
+                                   base=rows[4:6], swap=rows[6])
            for rows in (views, copies)]
     for a, b in zip(*out):
         np.testing.assert_array_equal(a, b)
@@ -334,11 +335,12 @@ def _spy_rounds(monkeypatch, decided, calls=None, oracle_for=None):
     real = engine._two_coin_rounds
 
     def spy(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds, round_limit=None,
-            chains=None, *, base):
+            chains=None, *, base, swap):
         if oracle_for is not None:
             oracle = oracle_for(Xa, Va, chains, oracle)
         out = real(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
-                   round_limit=round_limit, chains=chains, base=base)
+                   round_limit=round_limit, chains=chains, base=base,
+                   swap=swap)
         if calls is not None:
             calls.append(int(out[1].max()))
         undecided = np.zeros(len(chains), dtype=bool)
@@ -365,12 +367,12 @@ def test_one_two_coin_step_is_the_lockstep_sweep():
     V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
     C = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0, spec, sched,
                              oracle)
-    zero = np.zeros(X.shape[0])   # the lipschitz route's line
-    swap = engine._swap_rows(f0, f1, logH, zero)
-    frame_accept, rounds, poisson, _ = engine._two_coin_rounds(
-        *engine._decision_frame(X, Xt, V, logH, swap), C, 1.0, oracle, rng,
-        engine.DEFAULT_MAX_ROUNDS, base=(zero, zero))
-    accept = frame_accept ^ swap
+    swap, Xa, Va, log_h_a, base = engine._exact_frame(X, Xt, V, f0, f1, logH,
+                                                      spec)
+    accept, rounds, poisson, _ = engine._two_coin_rounds(
+        Xa, Va, log_h_a, C, 1.0, oracle, rng, engine.DEFAULT_MAX_ROUNDS,
+        base=base, swap=swap)
+    assert 0 < swap.sum() < swap.size
     np.testing.assert_array_equal(Xn, np.where(accept[:, None], Xt, X))
     np.testing.assert_array_equal(Sn, np.where(accept[:, None], St, S))
     assert stats.accepted == accept.sum()
