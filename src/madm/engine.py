@@ -6,23 +6,17 @@ log-ratio (:func:`log_h_batch`), the Newton-Cotes estimate
 (:func:`_quadrature_log_ratio_batch`), the Poisson product W
 (:func:`_factor_products`) and the two-coin round loop
 (:func:`_two_coin_rounds`).  The sampler runs its chains through them as one
-array of states, one shared draw per algorithmic event, with masks tracking
-which rows are still undecided.
+array of states, one shared draw per algorithmic event, with one pending
+block holding the chains whose proposal is undecided, in chain order.
 
-Every accept/reject decision is made here, by :func:`corrector_sweep`.  One
-call runs all K steps of a level in one step loop shared by every corrector:
-each pass proposes for every chain whose last decision is made, then decides
-the pending proposals.  Both exact kinds, two-coin and hybrid, run their
-rounds in one step: :func:`_two_coin_rounds` on each row's decision frame
-(below).  The two-coin corrector's round count is geometric with a heavy
-tail, so it runs one round per pass and a chain starts its next step as soon
-as its own decision is made.  Hybrid runs up to ``hybrid_rounds`` rounds in
-the pass that proposed, for the rows whose Poisson mean 2C is within
-``poisson_cap``.  Every row those rounds leave open under hybrid, and every
-row of the other kinds, is decided at once (:func:`_accept_at_once`), so
-these kinds move their chains in lockstep.  The replicate samplers of
-:mod:`madm.adjust_exact` run the same kernels and frame on broadcast views
-of one fixed proposal, which the verification suites give as one-row arrays.
+Every accept/reject decision is made here, by :func:`corrector_sweep`: one
+call runs all K steps of a level in one step loop shared by every corrector
+(its docstring tells how the passes go).  Both exact kinds, two-coin and
+hybrid, run their rounds in one step, :func:`_two_coin_rounds` on each row's
+decision frame (below); every other decision is drawn at once
+(:func:`_accept_at_once`).  The replicate samplers of :mod:`madm.adjust_exact`
+run the same kernels and frame on broadcast views of one fixed proposal,
+which the verification suites give as one-row arrays.
 
 The exact rounds run each pair in the canonical direction of
 :func:`_exact_frame`, the cheaper one (Barker satisfies
@@ -161,9 +155,8 @@ def _at_chain(err, chain: int):
 
 
 def _require_finite_rows(arr: np.ndarray, what: str, chains=None) -> None:
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
+    if not np.isfinite(arr).all():
+        row, col = np.argwhere(~np.isfinite(arr))[0]
         chain = _chain_of(row, chains)
         raise _at_chain(NonFiniteError(f"non-finite {what} at chain {chain}, "
                                        f"coordinate {col}"), chain)
@@ -190,9 +183,20 @@ def _segment_products(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _marginal(schedule: Optional[NoiseSchedule], t: float):
+    """(r_t, sigma_t) of the bounded-denoiser route at level ``t``; a sweep
+    looks it up once for all its passes."""
+    if schedule is None:
+        raise ConfigError("the bounded-denoiser bound needs a noise schedule")
+    r, sigma = schedule.marginal_params(t)
+    if sigma <= 0:
+        raise DomainError(f"bounded-denoiser bound undefined at t={t} (sigma_t = 0)")
+    return r, sigma
+
+
 def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
-                  schedule: NoiseSchedule, oracle: ScoreOracle,
-                  chains=None) -> np.ndarray:
+                  schedule: Optional[NoiseSchedule], oracle: ScoreOracle,
+                  chains=None, *, marginal=None) -> np.ndarray:
     """Row-wise envelope C(x, x_tilde) on the line integrand's remainder
     after the line of :func:`_exact_frame`: the whole integrand but on the
     sharp route.
@@ -226,17 +230,15 @@ def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
     ``V``, ``f0`` and ``f1`` are the rows' :func:`_endpoint_terms`.  On the
     other routes each row's C is checked against its endpoint integrands:
     C must dominate |f(0)| and |f(1)| or the bound is rejected outright.
-    ``chains`` maps rows to the chain numbers that errors report.
+    ``chains`` maps rows to the chain numbers that errors report.  The
+    bounded-denoiser route takes (r_t, sigma_t) from ``marginal`` if given.
     """
     norm_v = np.linalg.norm(V, axis=1)
     if spec.strategy == BOUNDED_DENOISER:
         b = spec.value if spec.value is not None else oracle.denoiser_bound
         if b is None:
             raise ConfigError(f"oracle {oracle.name!r} declares no denoiser bound")
-        r, sigma = schedule.marginal_params(t)
-        if sigma <= 0:
-            raise DomainError(f"bounded-denoiser bound undefined at t={t} "
-                              "(sigma_t = 0)")
+        r, sigma = marginal or _marginal(schedule, t)
         reach = np.maximum(np.linalg.norm(X, axis=1), np.linalg.norm(Xt, axis=1))
         c = (b * r + reach) / (r * r * sigma * sigma) * norm_v
     elif spec.strategy in (LIPSCHITZ, LIPSCHITZ_SHARP):
@@ -302,9 +304,12 @@ def _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains=None,
     with ``C`` (zeros leave f itself).  Factor rows are scored
     ``FACTOR_BLOCK`` at a time, each block drawing its uniforms just before
     its score call; consecutive draws equal one draw of all the uniforms, so
-    the blocking leaves the stream unchanged.
+    the blocking leaves the stream unchanged.  With every count 0 there is
+    nothing to draw or score, and every W is 1.
     ``chains`` maps rows to the chain numbers that errors report.
     """
+    if not counts.any():
+        return np.ones(counts.size)
     rep = np.repeat(active, counts)
     factors = np.empty(rep.size)
     for lo in range(0, rep.size, FACTOR_BLOCK):
@@ -408,15 +413,15 @@ def _exact_frame(X, Xt, V, f0, f1, logH, spec: BoundSpec):
     the sharp route, when H e^E > 1); it then sees -(log H + E) and, along
     u' = 1 - u, the line (-a - b) + b u'.
     """
+    trapezoid = 0.5 * (f0 + f1)
     if spec.strategy == LIPSCHITZ_SHARP:
-        exact, a, b = 0.5 * (f0 + f1), f0, f1 - f0
+        exact, a, b = trapezoid, f0, f1 - f0
     else:
         exact = a = b = np.zeros_like(f0)
-    swap = logH + 2.0 * exact > 0.5 * (f0 + f1)
-    log_h = logH + exact
-    return (swap, np.where(swap[:, None], Xt, X),
-            np.where(swap[:, None], -V, V), np.where(swap, -log_h, log_h),
-            (np.where(swap, -a - b, a), b))
+    swap = logH + 2.0 * exact > trapezoid
+    log_h, rows = logH + exact, swap[:, None]
+    return (swap, np.where(rows, Xt, X), np.where(rows, -V, V),
+            np.where(swap, -log_h, log_h), (np.where(swap, -a - b, a), b))
 
 
 def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule,
@@ -481,34 +486,37 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
     cost one new score evaluation per chain (the proposal endpoint) plus
     whatever the decision itself queries.
 
-    Each pass first proposes for every chain that has no pending proposal
-    and has steps left, then decides pending proposals.  The two-coin kind
-    runs one round for every pending chain, so a chain starts its next step
-    on the pass after its own decision, whatever the other chains are doing:
-    the passes number about ``steps`` times the mean rounds plus the slowest
-    chain's tail, not the sum of each step's slowest chain.  Every other
-    kind decides each proposal in the pass that made it, so all chains move
-    in lockstep, one step per pass: hybrid runs up to ``hybrid_rounds``
-    exact rounds on the rows with 2C <= ``poisson_cap`` in that pass, and
-    the quadrature fallback decides the rest.  A fallback decision counts one
-    round more than the exact rounds before it: 1 for a row above the cap,
-    ``hybrid_rounds`` + 1 for a row the rounds left open.
+    Each pass proposes for every chain that has no pending proposal and has
+    steps left, then decides the pending block: the chains with an undecided
+    proposal, in ascending chain order.  The two-coin kind runs one round on
+    the block and carries the rows it leaves open into the next pass's
+    block, so a chain starts its next step on the pass after its own
+    decision, whatever the other chains are doing: the passes number about
+    ``steps`` times the mean rounds plus the slowest chain's tail, not the
+    sum of each step's slowest chain.  Every other kind decides each
+    proposal in the pass that made it, so all chains move in lockstep, one
+    step per pass: hybrid runs up to ``hybrid_rounds`` exact rounds on the
+    rows with 2C <= ``poisson_cap``, and the quadrature fallback decides the
+    rest.  A fallback decision counts one round more than the exact rounds
+    before it: 1 for a row above the cap, ``hybrid_rounds`` + 1 for a row
+    the rounds left open.
 
     ``on_step(chains, step, X_rows)`` receives the chains that finish a step
-    in a pass, the index of the step each finished, and their new states.
+    in a pass, in ascending order, the index of the step each finished, and
+    their new states.
     Each two-coin decision is capped at ``max_rounds`` rounds.  An error
     names the chain and that chain's own sweep, or the sweep every chain
     has reached when it names no chain.
     """
     if kind not in CORRECTOR_KINDS or kind == "none":
         raise ConfigError(f"unsupported corrector kind {kind!r}")
-    if kind in ("two-coin", "hybrid") and bound is None:
+    exact = kind in ("two-coin", "hybrid")
+    if exact and bound is None:
         raise ConfigError(f"corrector kind {kind!r} needs a bound")
     if kind in ("quadrature", "hybrid") and rule is None:
         raise ConfigError(f"corrector kind {kind!r} needs a quadrature rule")
-    if (kind in ("two-coin", "hybrid") and schedule is None
-            and bound.strategy == BOUNDED_DENOISER):
-        raise ConfigError("the bounded-denoiser bound needs a noise schedule")
+    marginal = (_marginal(schedule, t)
+                if exact and bound.strategy == BOUNDED_DENOISER else None)
     if not (np.isfinite(h) and h > 0.0):
         raise DomainError(f"corrector step h must be finite and > 0, got {h}")
     if (isinstance(steps, bool) or not isinstance(steps, (int, np.integer))
@@ -519,19 +527,15 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                           f"{np.shape(X)} and {np.shape(S)}")
     n, d = X.shape
     X, S = X.copy(), S.copy()
-    # Xa, Va, Ha (log H + E), A, B: each exact row's decision frame and the
-    # frame's line; V, f0, f1 and logH keep the original direction
-    Xt, St, V, Xa, Va = (np.empty_like(X) for _ in range(5))
-    f0, f1, logH, C, Ha, A, B = (np.empty(n) for _ in range(7))
-    swap = np.zeros(n, dtype=bool)
-    pending = np.zeros(n, dtype=bool)
     done = np.zeros(n, dtype=np.int64)     # steps each chain has finished
-    rounds = np.zeros(n, dtype=np.int64)   # rounds of each pending decision
     stats = SweepStats(proposals=n * steps)
     queries_before = oracle.queries
-    free, proposed = np.arange(n), 0
+    # a block is (chains, rounds, x_tilde, s(x_tilde), v), and under
+    # two-coin C and the frame (swap, start, direction, log H + E, a, b)
+    free, proposed, carry = np.arange(n), 0, ()
     try:
         while True:
+            block = carry
             if free.size:
                 # take gathers the same rows as X[free] at a fraction of its
                 # fixed cost, which dominates on blocks of a few hundred rows
@@ -540,89 +544,87 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                       + np.sqrt(h) * rng.standard_normal((free.size, d)))
                 st = oracle.score(xt, t)
                 _require_finite_rows(st, "score", free)
-                Xt[free], St[free] = xt, st
-                if kind != "ula":
-                    v, e0, e1, lh = _endpoint_terms(x, xt, s, st, h)
-                    V[free], f0[free], f1[free], logH[free] = v, e0, e1, lh
-                    if kind in ("two-coin", "hybrid"):
-                        C[free] = bound_c_batch(x, xt, s, st, v, e0, e1, t,
-                                                bound, schedule, oracle, free)
-                        (swap[free], Xa[free], Va[free], Ha[free],
-                         (A[free], B[free])) = _exact_frame(
-                            x, xt, v, e0, e1, lh, bound)
-                rounds[free] = 0
-                pending[free] = True
+                v, f0, f1, logH = (_endpoint_terms(x, xt, s, st, h)
+                                   if kind != "ula" else (xt - x, None, None, None))
+                if exact:
+                    C = bound_c_batch(x, xt, s, st, v, f0, f1, t, bound, schedule,
+                                      oracle, free, marginal=marginal)
+                block = (free, np.zeros(free.size, dtype=np.int64), xt, st, v)
+                if kind == "two-coin":
+                    swap, xa, va, ha, (a, b) = _exact_frame(x, xt, v, f0, f1,
+                                                            logH, bound)
+                    block += (C, swap, xa, va, ha, a, b)
+                    if carry:
+                        # in chain order, which the round loop draws in
+                        order = np.argsort(np.concatenate([carry[0], free]))
+                        block = tuple(np.concatenate(pair)[order]
+                                      for pair in zip(carry, block))
                 proposed += free.size
-            active = np.flatnonzero(pending)
-            if active.size == 0:
+            if not block:
                 break
-            # the exact rows run rounds first; the rows they leave open stay
-            # pending under two-coin and are decided at once by every other
-            # kind, which keeps its chains in lockstep
+            ids, rounds, xt, st, v = block[:5]
+            still = ran = poisson = ids[:0]  # still: rows open after this pass
             if kind == "two-coin":
                 # a lone pending decision, or decisions after which no chain
                 # proposes again, run their remaining rounds in one call: the
                 # passes would draw the same numbers in the same order
-                runs = active
-                limit = (max_rounds - int(rounds[active].max())
-                         if active.size == 1 or proposed == stats.proposals
+                C, swap, xa, va, ha, a, b = block[5:]
+                limit = (max_rounds - int(rounds.max())
+                         if ids.size == 1 or proposed == stats.proposals
                          else 1)
-            elif kind == "hybrid":
-                # all of hybrid's rounds run in this pass, on the rows whose
-                # Poisson mean 2C is within the cap
-                capped = 2.0 * C[active] > poisson_cap
-                runs, limit = active[~capped], hybrid_rounds
-                stats.capped_rows += active.size - runs.size
-                if not limit:
-                    stats.budget_rows += runs.size
-                    runs = active[:0]
+                accept, ran, poisson, still = _two_coin_rounds(
+                    xa, va, ha, C, t, oracle, rng, max_rounds,
+                    round_limit=limit, chains=ids, base=(a, b), swap=swap)
+                rounds = rounds + ran
+                stuck = still[rounds[still] >= max_rounds]
+                if stuck.size:
+                    raise _stuck_error(stuck, max_rounds, C, ha, ids)
             else:
-                runs = active[:0]
-            if runs.size:
-                ran_accept, ran, poisson, still = _two_coin_rounds(
-                    Xa.take(runs, axis=0), Va.take(runs, axis=0), Ha[runs],
-                    C[runs], t, oracle, rng, max_rounds, round_limit=limit,
-                    chains=runs, base=(A.take(runs), B.take(runs)),
-                    swap=swap[runs])
-                rounds[runs] += ran
-                stats.round_passes += int(ran.max())
-                stats.poisson_total += int(poisson.sum())
-            if kind == "two-coin":
-                if still.size:
-                    stuck = runs[still][rounds[runs[still]] >= max_rounds]
-                    if stuck.size:
-                        raise _stuck_error(stuck, max_rounds, C, Ha)
-                decided = np.ones(runs.size, dtype=bool)
-                decided[still] = False
-                rows = runs[decided]
-                moved = rows[ran_accept[decided]]
-            else:
+                accept = np.empty(ids.size, dtype=bool)
+                once = np.arange(ids.size)    # the rows decided at once
+                if kind == "hybrid":
+                    # all its rounds run in this pass, on the rows with 2C <= cap
+                    capped = 2.0 * C > poisson_cap
+                    runs = np.flatnonzero(~capped) if hybrid_rounds else once[:0]
+                    if runs.size:
+                        swap, xa, va, ha, base = _exact_frame(
+                            *(f[runs] for f in (x, xt, v, f0, f1, logH)),
+                            bound)
+                        accept[runs], ran, poisson, left = _two_coin_rounds(
+                            xa, va, ha, C[runs], t, oracle, rng, max_rounds,
+                            round_limit=hybrid_rounds, chains=runs,
+                            base=base, swap=swap)
+                        rounds[runs] = ran
+                        # the rows still open join the capped rows
+                        once = np.concatenate([np.flatnonzero(capped),
+                                               runs[left]])
+                    # budget rows: the rows within the cap decided at once
+                    stats.capped_rows += int(np.count_nonzero(capped))
+                    stats.budget_rows += once.size - int(np.count_nonzero(capped))
                 # every chain proposed in this pass, so the rows are the chains
-                rows = once = active
-                accept = np.empty(n, dtype=bool)
-                if runs.size:
-                    # the rows still open join the capped rows
-                    accept[runs] = ran_accept
-                    once = np.concatenate([active[capped], runs[still]])
-                    stats.budget_rows += still.size
-                accept[once] = _accept_at_once(
-                    kind, once, X, Xt, V, f0, f1, logH, t, rule, oracle, rng)
+                accept[once] = _accept_at_once(kind, once, x, xt, v, f0, f1,
+                                               logH, t, rule, oracle, rng)
                 if kind != "ula":
                     rounds[once] += 1
-                moved = np.flatnonzero(accept)
+            stats.round_passes += int(ran.max(initial=0))
+            stats.poisson_total += int(poisson.sum())
+            rows, carry = ids, ()
+            if still.size:
+                carry = tuple(f[still] for f in (ids, rounds) + block[2:])
+                accept[still] = False
+                rows, rounds = np.delete(ids, still), np.delete(rounds, still)
+            moved = accept.nonzero()[0]
             stats.accepted += moved.size
-            xt, x = Xt.take(moved, axis=0), X.take(moved, axis=0)
-            stats.jump_sq_total += float(np.sum((xt - x) ** 2))
-            X[moved], S[moved] = xt, St.take(moved, axis=0)
-            took = rounds[rows]
-            stats.rounds_total += int(took.sum())
-            stats.max_rounds = max(stats.max_rounds, int(took.max(initial=0)))
-            pending[rows] = False
+            stats.jump_sq_total += float((v.take(moved, axis=0) ** 2).sum())
+            to = ids[moved]
+            X[to], S[to] = xt.take(moved, axis=0), st.take(moved, axis=0)
+            stats.rounds_total += int(rounds.sum())
+            stats.max_rounds = max(stats.max_rounds, int(rounds.max(initial=0)))
             step = done[rows]
             if on_step is not None:
                 on_step(rows, step, X.take(rows, axis=0))
-            done[rows] = step + 1
-            free = rows[step + 1 < steps]
+            done[rows] = step = step + 1
+            free = rows[step < steps]
     except MadmError as err:
         if err.sweep is None:
             err.sweep = int(done.min() if err.chain is None

@@ -394,12 +394,16 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, plan: list[_Level],
             unit_sum, unit_sq = np.zeros_like(X), np.zeros_like(X)
 
             def record(rows, steps, X_rows):
-                # post-burn-in moments of the chains that just finished a step
+                # post-burn-in moments of the chains that just finished a
+                # step; they come in ascending order, so a step of every
+                # chain adds to the whole arrays, with no gather or scatter
                 keep = steps >= burn
-                rows, X_rows = rows[keep], X_rows[keep]
+                if not keep.all():
+                    rows, X_rows = rows[keep], X_rows[keep]
                 rec.moment_sum += float(X_rows.sum())
-                unit_sum[rows] += X_rows
-                unit_sq[rows] += X_rows * X_rows
+                at = slice(None) if rows.size == n_chains else rows
+                unit_sum[at] += X_rows
+                unit_sq[at] += X_rows * X_rows
 
             try:
                 q_entry = oracle.queries

@@ -312,6 +312,18 @@ def test_two_coin_decision_rejects_nonfinite_interior_score():
                    np.random.default_rng(13), 1)
 
 
+def test_two_coin_replicates_denoiser_bound_needs_a_schedule():
+    # it used to end in AttributeError on the missing schedule, where the
+    # sweep raises ConfigError before any draw
+    oracle, p = fixture_proposal()
+    rng = np.random.default_rng(17)
+    queries, state = oracle.queries, rng.bit_generator.state
+    with pytest.raises(ConfigError, match="needs a noise schedule"):
+        replicates(p, BoundSpec("bounded-denoiser", 1.0), oracle, rng, 100)
+    assert oracle.queries == queries
+    assert rng.bit_generator.state == state
+
+
 def test_two_coin_replicates_reject_nonfinite_interior_score():
     oracle, p = _nan_interior_proposal()
     with pytest.raises(NonFiniteError, match="interior score at chain"):

@@ -483,7 +483,111 @@ def test_two_coin_steps_name_the_chain_of_an_endpoint_bound_violation():
     assert (info.value.chain, info.value.sweep) == (0, 0)
 
 
-SWEEP_KINDS = [k for k in engine.CORRECTOR_KINDS if k != "none"]
+def test_two_coin_names_a_stuck_carried_chain_and_its_frame(monkeypatch):
+    # chains 0 and 1 sit near the mode and finish both steps within a few
+    # rounds; chain 2 starts far out, where the plain envelope's C is large,
+    # and is carried from pass to pass until it runs alone, so its block
+    # row (0) is not its chain number
+    oracle = gaussian_oracle(0.0, 1.0)
+    calls = []
+    real = engine._two_coin_rounds
+
+    def spy(Xa, Va, log_h_a, C, *args, chains=None, **kw):
+        calls.append((chains.copy(), np.array(log_h_a), np.array(C)))
+        return real(Xa, Va, log_h_a, C, *args, chains=chains, **kw)
+
+    monkeypatch.setattr(engine, "_two_coin_rounds", spy)
+    X = np.array([[0.0], [0.1], [20.0]])
+    with pytest.raises(NonterminationError,
+                       match="first stuck chain 2") as info:
+        _two_coin_sweep(X, oracle, np.random.default_rng(36), h=0.4,
+                        steps=2, max_rounds=10)
+    err = info.value
+    chains, log_h_a, C = calls[-1]
+    np.testing.assert_array_equal(chains, [2])
+    assert (err.chain, err.sweep, err.rounds) == (2, 0, 10)
+    assert (err.log_h, err.c_bound) == (log_h_a[0], C[0])
+    assert C[0] > 10.0
+
+
+def test_hybrid_fallback_names_the_chain_of_a_nan_midpoint(monkeypatch):
+    # chains 0 and 1 make short moves and run exact rounds; chains 2 and 3
+    # make long ones, above the Poisson cap, and go to the Simpson fallback,
+    # whose midpoint for chain 2 (x = 4) scores NaN
+    def score(x, t):
+        out = -x
+        out[np.abs(x - 4.0) < 1e-6] = np.nan
+        return out
+
+    oracle = ScoreOracle(dim=1, score_fn=score, lipschitz=1.0)
+    ran = []
+    real = engine._two_coin_rounds
+
+    def spy(*args, chains=None, **kw):
+        ran.append(chains.copy())
+        return real(*args, chains=chains, **kw)
+
+    monkeypatch.setattr(engine, "_two_coin_rounds", spy)
+    X = np.array([[0.0], [0.5], [3.0], [-3.0]])
+    Xt = np.array([[0.1], [0.6], [5.0], [-5.0]])
+    S, h = -X, 0.3
+    z = (Xt - X - 0.5 * h * S) / np.sqrt(h)
+    with pytest.raises(NonFiniteError, match="non-finite at chain 2$") as info:
+        engine.corrector_sweep(X, S, oracle, 1.0, h, "hybrid",
+                               _ZeroNoise(0, z), bound=BoundSpec("lipschitz"),
+                               rule=simpson13())
+    assert (info.value.chain, info.value.sweep) == (2, 0)
+    assert len(ran) == 1
+    np.testing.assert_array_equal(ran[0], [0, 1])
+
+
+def test_factor_products_without_factors_draw_and_score_nothing():
+    # a round whose Poisson counts are all zero has W = 1 on every row
+    oracle = gaussian_oracle(0.0, 1.0)
+    rng = np.random.default_rng(36)
+    X, V = rng.standard_normal((6, 1)), rng.standard_normal((6, 1))
+    C, zero = np.full(6, 0.7), np.zeros(6)
+    queries, state = oracle.queries, rng.bit_generator.state
+    w = engine._factor_products(X, V, C, np.arange(6),
+                                np.zeros(6, dtype=np.int64), 1.0, oracle, rng,
+                                base=(zero, zero))
+    np.testing.assert_array_equal(w, np.ones(6))
+    assert oracle.queries == queries
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("kind", ["two-coin", "hybrid"])
+def test_sweep_reads_the_denoiser_level_once(monkeypatch, kind):
+    # the bounded-denoiser route's (r_t, sigma_t) is looked up once per
+    # sweep, not on every pass, and gives the C of a lookup per batch
+    oracle, sched = gaussian_oracle(0.0, 1.0), NoiseSchedule.edm()
+    spec = BoundSpec("bounded-denoiser", 1.0)
+    X = np.random.default_rng(37).standard_normal((50, 1))
+    S = oracle.score(X, 1.0)
+    bounds, calls = [], []
+    real_bound, real_marginal = engine.bound_c_batch, NoiseSchedule.marginal_params
+
+    def bound_spy(*args, **kwargs):
+        C = real_bound(*args, **kwargs)
+        bounds.append((args, C))
+        return C
+
+    def marginal_spy(self, t):
+        calls.append(t)
+        return real_marginal(self, t)
+
+    monkeypatch.setattr(engine, "bound_c_batch", bound_spy)
+    monkeypatch.setattr(NoiseSchedule, "marginal_params", marginal_spy)
+    engine.corrector_sweep(X, S, oracle, 1.0, 0.01, kind,
+                           np.random.default_rng(38), schedule=sched,
+                           bound=spec, rule=simpson13(), steps=4)
+    assert calls == [1.0] and len(bounds) > 1
+    monkeypatch.undo()
+    for args, C in bounds:
+        np.testing.assert_array_equal(real_bound(*args[:10], oracle), C)
+
+
+SWEEP_KINDS =[k for k in engine.CORRECTOR_KINDS if k != "none"]
 LOCKSTEP_KINDS = [k for k in SWEEP_KINDS if k != "two-coin"]
 
 
