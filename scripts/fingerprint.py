@@ -122,10 +122,10 @@ def replicate_case(sampler: str, route: str) -> str:
                                   oracle, rng, 5_000)
         out.pop("swap")   # a function of the proposal, not of the draws
     else:
-        V, f0, f1, _ = engine._endpoint_terms(X, Xt, S, St, 0.5)
-        C = float(engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0,
-                                       BoundSpec(route), NoiseSchedule.edm(),
-                                       oracle)[0])
+        V, f0, f1, _, C, _ = engine.proposal_terms(
+            X, Xt, S, St, 0.5, bound=BoundSpec(route), t=1.0, oracle=oracle,
+            schedule=NoiseSchedule.edm())
+        C = float(C[0])
         kw = ({"baseline": (float(f0[0]), float(f1[0] - f0[0]))}
               if route == "lipschitz-sharp" else {})
         out = {"w": poisson_w_replicates(X[0], V[0], C, 1.0, oracle, rng,

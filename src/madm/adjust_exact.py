@@ -117,20 +117,17 @@ def two_coin_replicates(X, Xt, S, St, h: float, t: float, bound: BoundSpec,
             or {a.shape for a in (Xt, S, St)} != {X.shape}):
         raise DomainError("X, Xt, S and St must be aligned one-row arrays")
     queries_before = oracle.queries
-    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
-    C = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, t, bound, schedule,
-                             oracle)
-    swap, Xa, Va, log_h_a, base = engine._exact_frame(X, Xt, V, f0, f1, logH,
-                                                      bound)
+    terms = engine.proposal_terms(X, Xt, S, St, h, bound=bound, t=t,
+                                  oracle=oracle, schedule=schedule,
+                                  log_h=False)
+    swap, Xa, Va, log_h_a, a, b = (_broadcast(f, n) for f in terms.frame)
     accept, rounds, poisson, _ = engine._two_coin_rounds(
-        _broadcast(Xa, n), _broadcast(Va, n), _broadcast(log_h_a, n),
-        _broadcast(C, n), t, oracle, rng, max_rounds,
-        base=tuple(_broadcast(part, n) for part in base),
-        swap=_broadcast(swap, n))
+        Xa, Va, log_h_a, _broadcast(terms.c, n), t, oracle, rng, max_rounds,
+        base=(a, b), swap=swap)
     return {
         "accept": accept,
         "rounds": rounds,
         "poisson_total": poisson,
         "score_queries": oracle.queries - queries_before,
-        "swap": bool(swap[0]),
+        "swap": bool(terms.frame[0][0]),
     }

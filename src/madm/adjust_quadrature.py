@@ -12,7 +12,7 @@ integrand, giving O(h^{3/2}) accuracy for the trapezoid rule and O(h^{5/2})
 for both Simpson rules as the Langevin step h shrinks.
 
 This module holds the rules.  The estimate (``_quadrature_log_ratio_batch``)
-and the MH decision (``_quadrature_accept``) run batched in
+and the MH decision (``_accept_at_once``) run batched in
 :mod:`madm.engine`, and so does the hybrid, inside ``corrector_sweep``'s
 exact-round step.  The hybrid tries a capped number of exact two-coin
 rounds first, in the same canonical frame as the two-coin corrector, and

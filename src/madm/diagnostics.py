@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import expit, roots_hermite
 
-from .engine import log_h_batch
+from .engine import proposal_terms
 from .errors import DomainError
 
 MIN_HERMITE_NODES = 64
@@ -133,7 +133,7 @@ def empirical_scaling_acceptance(d: int, l: float, n_proposals: int,
                        np.einsum("ij,ij->i", xt, xt))
         v = xt - x
         # the N(0, I) score is -x
-        alpha = expit(log_r + log_h_batch(v, -x, -xt, h))
+        alpha = expit(log_r + proposal_terms(x, xt, -x, -xt, h).log_h)
         acc = rng.uniform(size=m) <= alpha
         accepted += int(acc.sum())
         jump_sq += float(np.sum(v[acc] ** 2))

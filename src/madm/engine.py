@@ -1,8 +1,9 @@
 """Batched kernels: the one implementation of every corrector computation.
 
 Each concept of the accept/reject machinery lives here once, written for a
-batch of rows: the envelope C (:func:`bound_c_batch`), the proposal
-log-ratio (:func:`log_h_batch`), the Newton-Cotes estimate
+batch of rows: a proposal's terms (:func:`proposal_terms`: v, the endpoint
+integrands, log H, the envelope C of :func:`bound_c_batch` and the decision
+frame, all from one set of row dots), the Newton-Cotes estimate
 (:func:`_quadrature_log_ratio_batch`), the Poisson product W
 (:func:`_factor_products`) and the two-coin round loop
 (:func:`_two_coin_rounds`).  The sampler runs its chains through them as one
@@ -18,27 +19,22 @@ decision frame (below); every other decision is drawn at once
 run the same kernels and frame on broadcast views of one fixed proposal,
 which the verification suites give as one-row arrays.
 
-The exact rounds run each pair in the canonical direction of
-:func:`_exact_frame`, the cheaper one (Barker satisfies
+The exact rounds run each pair in the canonical direction of its frame, the
+cheaper one (Barker satisfies
 alpha(x -> y) = 1 - alpha(y -> x), so negating the reversed decision leaves
 the law unchanged while taming the e^{log H} factor in the round count).
 The rule is antisymmetric, so a move and its reverse run the same frame:
 hybrid's chance of leaving a row open after its rounds is then the same
 both ways, which keeps its quadrature fallback reversible.  The fallback
 itself decides in the original direction, because MH's acceptance is not
-one minus the reverse move's.
-
-Every envelope is an affine split: a line l(u) = a + b u is subtracted from
-the integrand, its exact integral E joins log H, and C bounds the remainder,
-so the factory's cost is that of H e^E and the remainder's C.
-:func:`_exact_frame` picks the line: the ``lipschitz-sharp`` route takes
-the one through the endpoint integrands f(0) and f(1) (its remainder's C is
-0 on Gaussian targets), every other route the zero line, so its C bounds
-the whole integrand.
+one minus the reverse move's.  Every envelope is an affine split (see
+:func:`proposal_terms`): C bounds the integrand's remainder after a line
+whose exact integral E joins log H.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -64,12 +60,10 @@ FACTOR_TOLERANCE = 1e-9
 
 DEFAULT_MAX_ROUNDS = 1_000_000
 
-# Skip the exact rounds of the hybrid decision when the Poisson mean 2C
-# exceeds this cap; the factory terminates in a handful of rounds only while
-# e^C stays small (its cost grows like e^C), so a loose envelope would
-# otherwise burn the entire round budget without ever deciding.  The selector
-# depends only on C, which is symmetric in (x, x_tilde), so reversibility of
-# the exact branch is kept.
+# Hybrid skips the exact rounds when the Poisson mean 2C exceeds this cap:
+# the factory's cost grows like e^C, so a loose envelope would burn the round
+# budget without deciding.  C is symmetric in (x, x_tilde), so the selector
+# keeps the exact branch reversible.
 HYBRID_POISSON_CAP = 4.0
 
 # Factor rows scored per oracle call inside one Poisson-product draw; bounds
@@ -91,15 +85,11 @@ class BoundSpec:
 
     def __post_init__(self):
         if self.strategy not in BOUND_STRATEGIES:
-            raise ConfigError(
-                f"unknown bound strategy {self.strategy!r}; "
-                f"expected one of {BOUND_STRATEGIES}"
-            )
-        if self.value is not None:
-            if not np.isfinite(self.value) or self.value < 0:
-                raise DomainError(
-                    f"bound value must be finite and >= 0, got {self.value}"
-                )
+            raise ConfigError(f"unknown bound strategy {self.strategy!r}; "
+                              f"expected one of {BOUND_STRATEGIES}")
+        if self.value is not None and not (np.isfinite(self.value)
+                                           and self.value >= 0):
+            raise DomainError(f"bound value must be finite and >= 0, got {self.value}")
 
 
 @dataclass
@@ -156,13 +146,15 @@ def _at_chain(err, chain: int):
 
 def _require_finite_rows(arr: np.ndarray, what: str, chains=None) -> None:
     if not np.isfinite(arr).all():
-        row, col = np.argwhere(~np.isfinite(arr))[0]
+        row, *col = np.argwhere(~np.isfinite(arr))[0]
         chain = _chain_of(row, chains)
-        raise _at_chain(NonFiniteError(f"non-finite {what} at chain {chain}, "
-                                       f"coordinate {col}"), chain)
+        at = f", coordinate {col[0]}" if col else ""
+        raise _at_chain(NonFiniteError(f"non-finite {what} at chain {chain}{at}"), chain)
 
 
 def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    if A.shape[1] == 1:   # one coordinate: the product, without einsum's dispatch
+        return A[:, 0] * B[:, 0]
     return np.einsum("ij,ij->i", A, B)
 
 
@@ -172,14 +164,12 @@ def _take_rows(A: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return A[:1] if A.strides[0] == 0 else A[rows]
 
 
-def _segment_products(factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Product of consecutive ``factors`` segments of the given lengths.
-
-    Each segment is multiplied left to right from 1.0, the same operations
-    as ``np.multiply.reduceat``; an empty segment gives 1.0.
-    """
-    out = np.ones(counts.shape[0])
-    np.multiply.at(out, np.repeat(np.arange(counts.shape[0]), counts), factors)
+def _segment_products(factors: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
+    """Product of the ``factors`` of each of n rows, ``seg`` holding each
+    factor's row in ascending order: each row's factors are multiplied left
+    to right from 1.0, so a row without factors gives 1.0."""
+    out = np.ones(n)
+    np.multiply.at(out, seg, factors)
     return out
 
 
@@ -194,12 +184,64 @@ def _marginal(schedule: Optional[NoiseSchedule], t: float):
     return r, sigma
 
 
-def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
+# Per row: v, f(0), f(1), log H (None where no decision reads it) and, with an
+# envelope, C and the frame (swap, start, direction, log H + E, a, b).
+ProposalTerms = namedtuple("ProposalTerms", "v f0 f1 log_h c frame",
+                           defaults=(None, None))
+
+
+def proposal_terms(X, Xt, S, St, h: float, *, bound: Optional[BoundSpec] = None,
+                   t=None, oracle: Optional[ScoreOracle] = None, schedule=None,
+                   chains=None, marginal=None, log_h: bool = True):
+    """The :data:`ProposalTerms` of the proposals X -> Xt (endpoint scores S
+    and St, step h), from each row's dots formed once: f(0) = <s, v>,
+    f(1) = <s_tilde, v>, ||s||^2, ||s_tilde||^2 and those C reads.
+
+    log H = h (||s||^2 - ||s_tilde||^2) / 8 - (f(0) + f(1)) / 2 takes its O(h)
+    part from the score norms, not from O(1) terms that cancel; ``log_h``
+    False skips it where only the sharp route's frame would read it.
+
+    A ``bound`` (with ``t``, ``oracle`` and ``schedule`` for its route) adds
+    C (:func:`bound_c_batch`) and the frame: the envelope's line
+    l(u) = a + b u, whose exact integral E joins log H, runs through f(0) and
+    f(1) on the sharp route and is zero on the others.  A row swaps to run
+    from x_tilde back to x along -v when log H + 2E exceeds the trapezoid
+    (f(0) + f(1)) / 2; it then sees -(log H + E) and, along u' = 1 - u, the
+    line (-a - b) + b u'.  On the sharp route log H + E is
+    h (||s||^2 - ||s_tilde||^2) / 8 exactly, and a row swaps when
+    ||s||^2 > ||s_tilde||^2.  ``chains`` maps rows to chain numbers for errors.
+    """
+    V = Xt - X
+    f0, f1 = _row_dot(S, V), _row_dot(St, V)
+    ss, sts = _row_dot(S, S), _row_dot(St, St)
+    sharp = bound is not None and bound.strategy == LIPSCHITZ_SHARP
+    log_h_e = (0.125 * h) * (ss - sts)   # log H + (f(0) + f(1)) / 2
+    trapezoid = 0.5 * (f0 + f1) if log_h or not sharp else None
+    logH = None if trapezoid is None else log_h_e - trapezoid
+    if bound is None:
+        return ProposalTerms(V, f0, f1, logH)
+    xx, xtxt = ((_row_dot(X, X), _row_dot(Xt, Xt))
+                if bound.strategy == BOUNDED_DENOISER else (None, None))
+    C = bound_c_batch(f0, f1, ss, sts, _row_dot(V, V), xx, xtxt, t, bound,
+                      schedule, oracle, chains, marginal=marginal)
+    if sharp:
+        swap, b = ss > sts, f1 - f0
+        a = np.where(swap, -f0 - b, f0)
+    else:
+        swap, log_h_e = logH > trapezoid, logH
+        a = b = np.zeros_like(f0)
+    rows = swap[:, None]
+    frame = (swap, np.where(rows, Xt, X), np.where(rows, -V, V),
+             np.where(swap, -log_h_e, log_h_e), a, b)
+    return ProposalTerms(V, f0, f1, logH, C, frame)
+
+
+def bound_c_batch(f0, f1, ss, sts, vv, xx, xtxt, t, spec: BoundSpec,
                   schedule: Optional[NoiseSchedule], oracle: ScoreOracle,
                   chains=None, *, marginal=None) -> np.ndarray:
     """Row-wise envelope C(x, x_tilde) on the line integrand's remainder
-    after the line of :func:`_exact_frame`: the whole integrand but on the
-    sharp route.
+    after the line of the rows' frame (:func:`proposal_terms`): the whole
+    integrand but on the sharp route.
 
     Bounded-denoiser route (Tweedie: the posterior mean of the clean data
     lies in a centred ball of radius b):
@@ -212,54 +254,65 @@ def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
         C = max(||s(x)||, ||s(x_tilde)||) ||v|| + (L/2) ||v||^2
 
     Sharp Lipschitz route, an affine split: under the same assumption the
-    integrand is L' = L ||v||^2 Lipschitz on [0, 1].  The line
-    l(u) = f(0) + D u through both endpoint values (D = f(1) - f(0))
-    integrates exactly, to E = (f(0) + f(1)) / 2, which joins log H; C bounds
-    only the remainder g = f - l:
+    integrand is L' = L ||v||^2 Lipschitz on [0, 1], and C bounds only its
+    remainder g = f - l after the line l(u) = f(0) + D u (D = f(1) - f(0)),
+    whose integral E = (f(0) + f(1)) / 2 joins log H:
 
         C = (L'^2 - D^2) / (2 L')
 
-    the tight bound on |g| given f(0), f(1) and the Lipschitz constant.  It
-    is 0 on affine integrands (Gaussian targets), never above L'/2, and
-    E + C never exceeds the whole-integrand bound (|f(0)| + |f(1)| + L')/2.
-    It carries a rounding slack of 1e-12 (|f(0)| + |f(1)| + L'), so factors
-    drawn on an affine integrand stay in [0, 1]; a null move gets C = 0.  A
-    row whose endpoint slope |D| exceeds L' (beyond rounding) proves the
-    declared L wrong and is rejected.
+    the tight bound on |g| given f(0), f(1) and L'.  It is 0 on affine
+    integrands (Gaussian targets), and E + C never exceeds the
+    whole-integrand bound (|f(0)| + |f(1)| + L') / 2.  A rounding slack of
+    1e-12 (|f(0)| + |f(1)| + L') keeps factors drawn on an affine integrand
+    in [0, 1]; a null move gets C = 0.  An endpoint slope |D| above L'
+    (beyond rounding) proves the declared L wrong and is rejected.
 
-    ``V``, ``f0`` and ``f1`` are the rows' :func:`_endpoint_terms`.  On the
-    other routes each row's C is checked against its endpoint integrands:
-    C must dominate |f(0)| and |f(1)| or the bound is rejected outright.
-    ``chains`` maps rows to the chain numbers that errors report.  The
-    bounded-denoiser route takes (r_t, sigma_t) from ``marginal`` if given.
+    The rows come as :func:`proposal_terms`' dots (||x||^2 and ||x_tilde||^2
+    None off the bounded-denoiser route, which takes (r_t, sigma_t) from
+    ``marginal`` if given).  On the other routes C must dominate |f(0)| and
+    |f(1)| or the bound is rejected.  ``chains`` maps rows to chain numbers.
     """
-    norm_v = np.linalg.norm(V, axis=1)
     if spec.strategy == BOUNDED_DENOISER:
         b = spec.value if spec.value is not None else oracle.denoiser_bound
         if b is None:
             raise ConfigError(f"oracle {oracle.name!r} declares no denoiser bound")
         r, sigma = marginal or _marginal(schedule, t)
-        reach = np.maximum(np.linalg.norm(X, axis=1), np.linalg.norm(Xt, axis=1))
-        c = (b * r + reach) / (r * r * sigma * sigma) * norm_v
+        reach = np.sqrt(np.maximum(xx, xtxt))
+        c = (b * r + reach) / (r * r * sigma * sigma) * np.sqrt(vv)
     elif spec.strategy in (LIPSCHITZ, LIPSCHITZ_SHARP):
         lip = spec.value if spec.value is not None else oracle.lipschitz
         if lip is None:
             raise ConfigError(f"oracle {oracle.name!r} declares no Lipschitz constant")
-        if spec.strategy == LIPSCHITZ_SHARP:
-            return _remainder_bound(f0, f1, lip * norm_v ** 2, chains)
-        s_max = np.maximum(np.linalg.norm(S, axis=1),
-                           np.linalg.norm(St, axis=1))
-        c = s_max * norm_v + 0.5 * lip * norm_v ** 2
-    elif spec.strategy == MANUAL:
+        if spec.strategy == LIPSCHITZ:
+            c = (np.sqrt(np.maximum(ss, sts)) * np.sqrt(vv)
+                 + 0.5 * lip * vv)
+        else:
+            lip_v = lip * vv
+            slope = np.abs(f1 - f0)
+            room = lip_v - slope
+            steep = room < -1e-12 * lip_v - 1e-15
+            if np.count_nonzero(steep):
+                row = int(np.flatnonzero(steep)[0])
+                chain = _chain_of(row, chains)
+                raise _at_chain(BoundViolationError(
+                    f"endpoint integrands f(0)={f0[row]:.6g} and "
+                    f"f(1)={f1[row]:.6g} differ by more than "
+                    f"L ||v||^2={lip_v[row]:.6g} at chain {chain}: "
+                    "the declared Lipschitz constant does not hold"), chain)
+            # (L'^2 - D^2) / (2 L') as (L' - |D|)(L' + |D|) / (2 L'); the
+            # divisor's floor, the least subnormal, makes a null move's 0/0
+            # read 0 and leaves every L' > 0 as it is
+            room = np.maximum(room, 0.0) * (lip_v + slope)
+            c = room / np.maximum(2.0 * lip_v, 5e-324)
+            return c + 1e-12 * (np.abs(f0) + np.abs(f1) + lip_v)
+    else:   # manual; BoundSpec admits no other strategy
         if spec.value is None:
             raise ConfigError("manual bound requires an explicit value")
-        c = np.full(X.shape[0], float(spec.value))
-    else:  # pragma: no cover - BoundSpec validates
-        raise ConfigError(f"unknown bound strategy {spec.strategy!r}")
+        c = np.full(f0.shape[0], float(spec.value))
 
     needed = np.maximum(np.abs(f0), np.abs(f1))
     bad = c < needed * (1.0 - 1e-12) - 1e-15
-    if bad.any():
+    if np.count_nonzero(bad):
         row = int(np.flatnonzero(bad)[0])
         chain = _chain_of(row, chains)
         raise _at_chain(BoundViolationError(
@@ -268,53 +321,25 @@ def bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec: BoundSpec,
     return c
 
 
-def _remainder_bound(f0, f1, lip_v, chains=None) -> np.ndarray:
-    """C of the sharp route: the tight bound on the integrand's remainder
-    after its line through f(0) and f(1), for an integrand that is
-    ``lip_v``-Lipschitz on [0, 1]."""
-    slope = np.abs(f1 - f0)
-    steep = slope > lip_v * (1.0 + 1e-12) + 1e-15
-    if steep.any():
-        row = int(np.flatnonzero(steep)[0])
-        chain = _chain_of(row, chains)
-        raise _at_chain(BoundViolationError(
-            f"endpoint integrands f(0)={f0[row]:.6g} and f(1)={f1[row]:.6g} "
-            f"differ by more than L ||v||^2={lip_v[row]:.6g} at chain {chain}: "
-            "the declared Lipschitz constant does not hold"), chain)
-    # (L'^2 - D^2) / (2 L') as (L' - |D|)(L' + |D|) / (2 L'), 0 for L' = 0
-    room = np.maximum(lip_v - slope, 0.0) * (lip_v + slope)
-    c = np.divide(room, 2.0 * lip_v, out=np.zeros_like(room), where=lip_v > 0)
-    return c + 1e-12 * (np.abs(f0) + np.abs(f1) + lip_v)
-
-
-def log_h_batch(V, S, St, h: float) -> np.ndarray:
-    """Row-wise log of the proposal ratio q(x | x_tilde) / q(x_tilde | x),
-    from the displacements v = x_tilde - x and the endpoint scores."""
-    fwd = V - 0.5 * h * S
-    bwd = -V - 0.5 * h * St
-    return (_row_dot(fwd, fwd) - _row_dot(bwd, bwd)) / (2.0 * h)
-
-
 def _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains=None,
                      *, base):
     """W draws for the active rows given their Poisson counts.
 
     Each factor is 1/2 + g(U) / (2C), g(U) = f(U) - a - b U the remainder of
     the line integrand f after the line ``base = (a, b)``, arrays aligned
-    with ``C`` (zeros leave f itself).  Factor rows are scored
-    ``FACTOR_BLOCK`` at a time, each block drawing its uniforms just before
-    its score call; consecutive draws equal one draw of all the uniforms, so
-    the blocking leaves the stream unchanged.  With every count 0 there is
-    nothing to draw or score, and every W is 1.
+    with ``C``.  Factor rows are scored ``FACTOR_BLOCK`` at a time, each
+    block drawing its uniforms just before its score call, which leaves the
+    stream as one draw of all the uniforms.  With every count 0 every W is 1.
     ``chains`` maps rows to the chain numbers that errors report.
     """
-    if not counts.any():
+    if not np.count_nonzero(counts):
         return np.ones(counts.size)
-    rep = np.repeat(active, counts)
+    seg = np.repeat(np.arange(counts.size), counts)   # each factor's row
+    rep = active.take(seg)
     factors = np.empty(rep.size)
     for lo in range(0, rep.size, FACTOR_BLOCK):
         rows = rep[lo:lo + FACTOR_BLOCK]
-        u = rng.uniform(size=rows.size)
+        u = rng.random(rows.size)
         v = _take_rows(Va, rows)
         pts = _take_rows(Xa, rows) + u[:, None] * v
         integrands = _row_dot(oracle.score(pts, t), v)
@@ -326,7 +351,7 @@ def _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains=None,
                 and block.max() <= 1.0 + FACTOR_TOLERANCE):
             _envelope_error(block, integrands, rows, C, chains)
         np.clip(block, 0.0, 1.0, out=factors[lo:lo + rows.size])
-    return _segment_products(factors, counts)
+    return _segment_products(factors, seg, counts.size)
 
 
 def _envelope_error(block, integrands, rows, C, chains):
@@ -345,41 +370,43 @@ def _envelope_error(block, integrands, rows, C, chains):
 
 def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
                      round_limit=None, chains=None, *, base, swap):
-    """Masked two-coin rounds on each row's :func:`_exact_frame`; returns
-    (accept, rounds, Poisson counts, undecided rows).
+    """Masked two-coin rounds on each row's frame (:func:`proposal_terms`);
+    returns (accept, rounds, Poisson counts, undecided rows).
 
     Each round rejects outright with probability alpha' = (1 + H e^C)^{-1},
     otherwise accepts with probability W, otherwise restarts.
-    ``round_limit`` caps the number of rounds without treating the cap as an
-    error (one two-coin pass, or hybrid's ``hybrid_rounds``); the rows still
-    undecided, whose ``accept`` means nothing, are the fourth value.
-    Without it, exhausting ``max_rounds`` raises.  ``chains`` maps rows to
-    the chain numbers that errors report.  The W-coin runs on the remainder
-    after the line ``base = (a, b)``, which ``C`` bounds, ``log_h_a`` holds
-    log H + E, and ``accept`` negates the ``swap`` rows' frame decisions.
+    ``round_limit`` caps the rounds without error (one two-coin pass, or
+    hybrid's ``hybrid_rounds``), leaving rows undecided, whose ``accept``
+    means nothing; without it, exhausting ``max_rounds`` raises.  The W-coin
+    runs on the remainder after the line ``base = (a, b)``, which ``C``
+    bounds, ``log_h_a`` holds log H + E, and ``accept`` negates the ``swap``
+    rows' frame decisions.  ``chains`` maps rows to chain numbers for errors.
     """
     n = Xa.shape[0]
-    alpha_prime = expit(-(log_h_a + C))
+    if C.strides[0] == 0:   # replicate rows: one alpha', kept broadcast
+        alpha_prime = np.broadcast_to(expit(-(log_h_a[:1] + C[:1])), (n,))
+    else:
+        alpha_prime = expit(-(log_h_a + C))
     frame_accept = np.zeros(n, dtype=bool)
     rounds = np.zeros(n, dtype=np.int64)
     poisson = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
     cap = max_rounds if round_limit is None else min(round_limit, max_rounds)
     for round_idx in range(1, cap + 1):
-        rounds[active] = round_idx
-        reject_now = rng.uniform(size=active.size) <= alpha_prime[active]
-        active = active[~reject_now]
+        if round_idx == 1:   # every row runs round 1: no gather or scatter
+            rounds[:], alpha_rows = 1, alpha_prime
+        else:
+            rounds[active], alpha_rows = round_idx, _take_rows(alpha_prime, active)
+        active = active[~(rng.random(active.size) <= alpha_rows)]
         if active.size == 0:
             break
         counts = rng.poisson(2.0 * _take_rows(C, active), size=active.size)
         poisson[active] += counts
         w = _factor_products(Xa, Va, C, active, counts, t, oracle, rng, chains,
                              base=base)
-        accept_now = rng.uniform(size=active.size) <= w
+        accept_now = rng.random(active.size) <= w
         frame_accept[active[accept_now]] = True
         active = active[~accept_now]
-        if active.size == 0:
-            break
     if active.size and round_limit is None:
         raise _stuck_error(active, max_rounds, C, log_h_a, chains)
     return frame_accept ^ swap, rounds, poisson, active
@@ -394,34 +421,6 @@ def _stuck_error(stuck, max_rounds, C, log_h_a, chains=None):
         f"{max_rounds} rounds (first stuck chain {chain})",
         rounds=max_rounds, c_bound=float(C[first]),
         log_h=float(log_h_a[first])), chain)
-
-
-def _endpoint_terms(X, Xt, S, St, h):
-    """(v, f(0), f(1), log H) per row, from the cached endpoint scores."""
-    V = Xt - X
-    return V, _row_dot(S, V), _row_dot(St, V), log_h_batch(V, S, St, h)
-
-
-def _exact_frame(X, Xt, V, f0, f1, logH, spec: BoundSpec):
-    """(swap, start, direction, log H + E, (a, b)) of each row's exact
-    rounds: the one place that knows the swap rule and the envelope's line.
-
-    ``spec``'s C leaves the line l(u) = a + b u out of the integrand, with
-    exact integral E: through f(0) and f(1) on the sharp route, zero on the
-    others.  A row swaps to run from x_tilde back to x along -v when
-    log H + 2E exceeds the trapezoid estimate (f(0) + f(1)) / 2 of log r (on
-    the sharp route, when H e^E > 1); it then sees -(log H + E) and, along
-    u' = 1 - u, the line (-a - b) + b u'.
-    """
-    trapezoid = 0.5 * (f0 + f1)
-    if spec.strategy == LIPSCHITZ_SHARP:
-        exact, a, b = trapezoid, f0, f1 - f0
-    else:
-        exact = a = b = np.zeros_like(f0)
-    swap = logH + 2.0 * exact > trapezoid
-    log_h, rows = logH + exact, swap[:, None]
-    return (swap, np.where(rows, Xt, X), np.where(rows, -V, V),
-            np.where(swap, -log_h, log_h), (np.where(swap, -a - b, a), b))
 
 
 def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule,
@@ -449,29 +448,23 @@ def _quadrature_log_ratio_batch(X, V, f0, f1, t, rule,
     return total
 
 
-def _quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng, rows=None):
-    """MH decisions with the Newton-Cotes estimate in place of log r:
-    accept iff log U <= min{0, I_hat + log H}, for ``rows`` in that order."""
-    i_hat = _quadrature_log_ratio_batch(X, V, f0, f1, t, rule, oracle, rows=rows)
-    log_alpha = np.minimum(0.0, i_hat + (logH if rows is None else logH[rows]))
-    return np.log(rng.uniform(size=log_alpha.size)) <= log_alpha
-
-
-def _accept_at_once(kind, rows, X, Xt, V, f0, f1, logH, t, rule, oracle,
-                    rng):
-    """Decisions drawn at once for the chains ``rows``, in that order: ula
-    accepts every proposal, oracle-mh is MH on the exact log r, and the
-    quadrature kinds (hybrid's fallback too) are :func:`_quadrature_accept`
-    in the original direction."""
+def _accept_at_once(kind, rows, X, Xt, terms, t, rule, oracle, rng):
+    """Decisions drawn at once for the chains ``rows``, in that order, from
+    their :data:`ProposalTerms`: ula accepts every proposal, every other kind
+    iff log U <= min{0, log r + log H}, with the exact log r under oracle-mh
+    and the Newton-Cotes estimate under the quadrature kinds (hybrid's
+    fallback too, in the original direction)."""
     if kind == "ula":
         return np.ones(rows.size, dtype=bool)
     if kind == "oracle-mh":
         log_r = (oracle.log_density(Xt[rows], t)
                  - oracle.log_density(X[rows], t))
-        log_alpha = np.minimum(0.0, log_r + logH[rows])
-        return np.log(rng.uniform(size=rows.size)) <= log_alpha
-    return _quadrature_accept(X, V, f0, f1, logH, t, rule, oracle, rng,
-                              rows=rows)
+        _require_finite_rows(log_r, "log-density ratio", rows)
+    else:
+        log_r = _quadrature_log_ratio_batch(X, terms.v, terms.f0, terms.f1, t,
+                                            rule, oracle, rows=rows)
+    log_alpha = np.minimum(0.0, log_r + terms.log_h[rows])
+    return np.log(rng.random(rows.size)) <= log_alpha
 
 
 def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
@@ -503,10 +496,9 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
 
     ``on_step(chains, step, X_rows)`` receives the chains that finish a step
     in a pass, in ascending order, the index of the step each finished, and
-    their new states.
-    Each two-coin decision is capped at ``max_rounds`` rounds.  An error
-    names the chain and that chain's own sweep, or the sweep every chain
-    has reached when it names no chain.
+    their new states.  Each two-coin decision is capped at ``max_rounds``
+    rounds.  An error names the chain and that chain's own sweep, or the
+    sweep every chain has reached when it names no chain.
     """
     if kind not in CORRECTOR_KINDS or kind == "none":
         raise ConfigError(f"unsupported corrector kind {kind!r}")
@@ -526,7 +518,7 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
         raise DomainError(f"X must be 2-D and S of its shape, got shapes "
                           f"{np.shape(X)} and {np.shape(S)}")
     n, d = X.shape
-    X, S = X.copy(), S.copy()
+    X, S, root_h = X.copy(), S.copy(), np.sqrt(h)
     done = np.zeros(n, dtype=np.int64)     # steps each chain has finished
     stats = SweepStats(proposals=n * steps)
     queries_before = oracle.queries
@@ -541,19 +533,17 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                 # fixed cost, which dominates on blocks of a few hundred rows
                 x, s = X.take(free, axis=0), S.take(free, axis=0)
                 xt = (x + 0.5 * h * s
-                      + np.sqrt(h) * rng.standard_normal((free.size, d)))
+                      + root_h * rng.standard_normal((free.size, d)))
                 st = oracle.score(xt, t)
                 _require_finite_rows(st, "score", free)
-                v, f0, f1, logH = (_endpoint_terms(x, xt, s, st, h)
-                                   if kind != "ula" else (xt - x, None, None, None))
-                if exact:
-                    C = bound_c_batch(x, xt, s, st, v, f0, f1, t, bound, schedule,
-                                      oracle, free, marginal=marginal)
-                block = (free, np.zeros(free.size, dtype=np.int64), xt, st, v)
+                terms = None if kind == "ula" else proposal_terms(
+                    x, xt, s, st, h, bound=bound if exact else None, t=t,
+                    oracle=oracle, schedule=schedule, chains=free,
+                    marginal=marginal, log_h=kind != "two-coin")
+                block = (free, np.zeros(free.size, dtype=np.int64), xt, st,
+                         xt - x if terms is None else terms.v)
                 if kind == "two-coin":
-                    swap, xa, va, ha, (a, b) = _exact_frame(x, xt, v, f0, f1,
-                                                            logH, bound)
-                    block += (C, swap, xa, va, ha, a, b)
+                    block += (terms.c,) + terms.frame
                     if carry:
                         # in chain order, which the round loop draws in
                         order = np.argsort(np.concatenate([carry[0], free]))
@@ -576,24 +566,23 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                     xa, va, ha, C, t, oracle, rng, max_rounds,
                     round_limit=limit, chains=ids, base=(a, b), swap=swap)
                 rounds = rounds + ran
-                stuck = still[rounds[still] >= max_rounds]
-                if stuck.size:
-                    raise _stuck_error(stuck, max_rounds, C, ha, ids)
+                if still.size:
+                    stuck = still[rounds[still] >= max_rounds]
+                    if stuck.size:
+                        raise _stuck_error(stuck, max_rounds, C, ha, ids)
             else:
                 accept = np.empty(ids.size, dtype=bool)
                 once = np.arange(ids.size)    # the rows decided at once
                 if kind == "hybrid":
                     # all its rounds run in this pass, on the rows with 2C <= cap
-                    capped = 2.0 * C > poisson_cap
+                    capped = 2.0 * terms.c > poisson_cap
                     runs = np.flatnonzero(~capped) if hybrid_rounds else once[:0]
                     if runs.size:
-                        swap, xa, va, ha, base = _exact_frame(
-                            *(f[runs] for f in (x, xt, v, f0, f1, logH)),
-                            bound)
+                        swap, xa, va, ha, a, b = (f[runs] for f in terms.frame)
                         accept[runs], ran, poisson, left = _two_coin_rounds(
-                            xa, va, ha, C[runs], t, oracle, rng, max_rounds,
-                            round_limit=hybrid_rounds, chains=runs,
-                            base=base, swap=swap)
+                            xa, va, ha, terms.c[runs], t, oracle, rng,
+                            max_rounds, round_limit=hybrid_rounds,
+                            chains=runs, base=(a, b), swap=swap)
                         rounds[runs] = ran
                         # the rows still open join the capped rows
                         once = np.concatenate([np.flatnonzero(capped),
@@ -602,24 +591,27 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                     stats.capped_rows += int(np.count_nonzero(capped))
                     stats.budget_rows += once.size - int(np.count_nonzero(capped))
                 # every chain proposed in this pass, so the rows are the chains
-                accept[once] = _accept_at_once(kind, once, x, xt, v, f0, f1,
-                                               logH, t, rule, oracle, rng)
+                accept[once] = _accept_at_once(kind, once, x, xt, terms, t,
+                                               rule, oracle, rng)
                 if kind != "ula":
                     rounds[once] += 1
-            stats.round_passes += int(ran.max(initial=0))
-            stats.poisson_total += int(poisson.sum())
+            if ran.size:
+                stats.round_passes += int(ran.max())
+                stats.poisson_total += int(poisson.sum())
             rows, carry = ids, ()
             if still.size:
                 carry = tuple(f[still] for f in (ids, rounds) + block[2:])
                 accept[still] = False
                 rows, rounds = np.delete(ids, still), np.delete(rounds, still)
             moved = accept.nonzero()[0]
-            stats.accepted += moved.size
-            stats.jump_sq_total += float((v.take(moved, axis=0) ** 2).sum())
-            to = ids[moved]
-            X[to], S[to] = xt.take(moved, axis=0), st.take(moved, axis=0)
-            stats.rounds_total += int(rounds.sum())
-            stats.max_rounds = max(stats.max_rounds, int(rounds.max(initial=0)))
+            if moved.size:
+                stats.accepted += moved.size
+                stats.jump_sq_total += float((v.take(moved, axis=0) ** 2).sum())
+                to = ids[moved]
+                X[to], S[to] = xt.take(moved, axis=0), st.take(moved, axis=0)
+            if rows.size:
+                stats.rounds_total += int(rounds.sum())
+                stats.max_rounds = max(stats.max_rounds, int(rounds.max()))
             step = done[rows]
             if on_step is not None:
                 on_step(rows, step, X.take(rows, axis=0))

@@ -104,11 +104,10 @@ def _exactness_cases(rng: np.random.Generator, count: int):
         h = float(rng.uniform(0.05, 0.4))
         x_tilde = x + rng.uniform(-0.25, 0.25, size=2)
         X, Xt, S, St = _pair_rows(x, x_tilde, oracle, t)
-        V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
-        c = float(engine.bound_c_batch(X, Xt, S, St, V, f0, f1, t, spec, edm,
-                                       oracle)[0])
+        terms = engine.proposal_terms(X, Xt, S, St, h, bound=spec, t=t,
+                                      oracle=oracle, schedule=edm)
+        c, lh = float(terms.c[0]), float(terms.log_h[0])
         log_ratio = float(oracle.log_density(x_tilde, t) - oracle.log_density(x, t))
-        lh = float(logH[0])
         if lh + c > np.log(50.0):
             continue
         alpha = float(np.exp(lh + log_ratio) / (1.0 + np.exp(lh + log_ratio)))
@@ -294,7 +293,7 @@ def suite_line_integral_identity(seed: int = 5, pairs_per_target: int = 20,
             x = rng.uniform(-spread, spread, size=dim)
             x_tilde = x + rng.uniform(-0.8, 0.8, size=dim)
             X, Xt, S, St = _pair_rows(x, x_tilde, oracle, t)
-            V, f0, f1, _ = engine._endpoint_terms(X, Xt, S, St, 0.1)
+            V, f0, f1, _, _, _ = engine.proposal_terms(X, Xt, S, St, 0.1)
             approx = float(engine._quadrature_log_ratio_batch(
                 X, V, f0, f1, t, rule, oracle)[0])
             exact = float(oracle.log_density(x_tilde, t) -

@@ -25,7 +25,7 @@ def one_row(x, x_tilde, oracle, t, h, scores=None):
     X = np.array([x], dtype=float)
     Xt = np.array([x_tilde], dtype=float)
     S, St = (oracle.score(X, t), oracle.score(Xt, t)) if scores is None else scores
-    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
+    V, f0, f1, logH = engine.proposal_terms(X, Xt, S, St, h)[:4]
     return SimpleNamespace(X=X, Xt=Xt, S=S, St=St, V=V, f0=f0, f1=f1, t=t,
                            h=h, x=X[0], v=V[0], log_h=float(logH[0]))
 
@@ -38,8 +38,9 @@ def replicates(p, bound, oracle, rng, n, **kw):
 
 def bound_c(p, spec, schedule, oracle):
     """The envelope C of the one-row proposal ``p``."""
-    return float(engine.bound_c_batch(p.X, p.Xt, p.S, p.St, p.V, p.f0, p.f1,
-                                      p.t, spec, schedule, oracle)[0])
+    return float(engine.proposal_terms(p.X, p.Xt, p.S, p.St, p.h, bound=spec,
+                                       t=p.t, oracle=oracle,
+                                       schedule=schedule).c[0])
 
 
 def fixture_proposal(h=0.5):

@@ -21,8 +21,8 @@ def one_row(x, x_tilde, oracle, t, h):
     take: x, the endpoint terms (v, f(0), f(1), log H) and the level t."""
     X = np.array([x], dtype=float)
     Xt = np.array([x_tilde], dtype=float)
-    V, f0, f1, logH = engine._endpoint_terms(
-        X, Xt, oracle.score(X, t), oracle.score(Xt, t), h)
+    V, f0, f1, logH = engine.proposal_terms(
+        X, Xt, oracle.score(X, t), oracle.score(Xt, t), h)[:4]
     return SimpleNamespace(X=X, V=V, f0=f0, f1=f1, logH=logH, t=t)
 
 
@@ -116,11 +116,14 @@ def test_query_accounting_per_rule():
 
 # -- MH decision -----------------------------------------------------------------
 
-def broadcast_rows(p, n):
-    """(x, v, f(0), f(1), log H) of the fixed proposal as n broadcast rows,
-    the inputs of the engine's decision kernels."""
-    terms = (p.X, p.V, p.f0, p.f1, p.logH)
-    return tuple(np.broadcast_to(a, (n,) + a.shape[1:]) for a in terms)
+def quadrature_accept(p, n, oracle, rng):
+    """The engine's Simpson-1/3 MH decisions on n broadcast rows of the fixed
+    proposal, drawn at once as the sweep draws them."""
+    X, V, f0, f1, logH = (np.broadcast_to(a, (n,) + a.shape[1:])
+                          for a in (p.X, p.V, p.f0, p.f1, p.logH))
+    return engine._accept_at_once("quadrature", np.arange(n), X, None,
+                                  engine.ProposalTerms(V, f0, f1, logH), p.t,
+                                  simpson13(), oracle, rng)
 
 
 def test_quadrature_mh_always_accepts_on_nonnegative_log_alpha():
@@ -129,9 +132,7 @@ def test_quadrature_mh_always_accepts_on_nonnegative_log_alpha():
     p = one_row([2.0], [0.1], oracle, t=1.0, h=0.5)
     assert np.log(np.exp(log_ratio(p, oracle, simpson13())) *
                   np.exp(p.logH[0])) >= 0
-    accept = engine._quadrature_accept(*broadcast_rows(p, 50), p.t,
-                                       simpson13(), oracle,
-                                       np.random.default_rng(0))
+    accept = quadrature_accept(p, 50, oracle, np.random.default_rng(0))
     assert accept.all()
 
 
@@ -144,8 +145,7 @@ def test_quadrature_mh_bernoulli_half():
     i_hat = log_ratio(p, oracle, simpson13())
     assert i_hat + p.logH[0] == pytest.approx(np.log(0.5), rel=1e-12)
     n = 40_000
-    hits = engine._quadrature_accept(*broadcast_rows(p, n), p.t, simpson13(),
-                                     oracle, np.random.default_rng(1)).sum()
+    hits = quadrature_accept(p, n, oracle, np.random.default_rng(1)).sum()
     assert abs(hits / n - 0.5) < 3.0 * np.sqrt(0.25 / n)
 
 
@@ -178,8 +178,7 @@ def test_quadrature_mh_propagates_nonfinite_estimate():
     oracle = ScoreOracle(dim=1, score_fn=flaky)
     p = one_row([0.0], [1.0], oracle, t=0.0, h=0.5)
     with pytest.raises(NonFiniteError):
-        engine._quadrature_accept(*broadcast_rows(p, 1), p.t, simpson13(),
-                                  oracle, np.random.default_rng(3))
+        quadrature_accept(p, 1, oracle, np.random.default_rng(3))
 
 
 # -- oracle decisions --------------------------------------------------------------

@@ -7,6 +7,7 @@ factory runs on the remainder f - l, whose bound C is 0 on affine integrands
 score -x + a sin x.
 """
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,10 +63,8 @@ def rippled_moments(a=RIPPLE):
 def rows(oracle, X, Xt, h=0.5, spec=SHARP):
     """Endpoint terms and the sharp C of the proposals X -> Xt."""
     S, St = oracle.score(X, 1.0), oracle.score(Xt, 1.0)
-    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
-    C = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0, spec,
-                             NoiseSchedule.edm(), oracle)
-    return V, f0, f1, logH, C
+    return engine.proposal_terms(X, Xt, S, St, h, bound=spec, t=1.0,
+                                 oracle=oracle, schedule=NoiseSchedule.edm())[:5]
 
 
 def random_rows(oracle, seed, n=25, d=1):
@@ -124,7 +123,6 @@ def fixed_proposal(x, xt, h=0.5):
     log_p = oracle.log_density(np.vstack([X, Xt]), 1.0)
     return oracle, SimpleNamespace(
         X=X, Xt=Xt, S=oracle.score(X, 1.0), St=oracle.score(Xt, 1.0), h=h,
-        terms=(V, f0, f1, logH),
         x=X[0], v=V[0], a=float(f0[0]), b=float(f1[0] - f0[0]),
         exact=float(0.5 * (f0[0] + f1[0])), log_h=float(logH[0]),
         c=float(C[0]), log_r=float(log_p[1] - log_p[0]))
@@ -154,8 +152,9 @@ def test_split_two_coin_is_barker_in_both_frames(x, xt, frame):
     n = 20_000
     moves = [fixed_proposal(*pair) for pair in ((x, xt), (xt, x))]
     for bound in (SHARP, BoundSpec("lipschitz")):
-        swaps = [bool(engine._exact_frame(p.X, p.Xt, *p.terms, bound)[0][0])
-                 for _, p in moves]
+        swaps = [bool(engine.proposal_terms(
+                     p.X, p.Xt, p.S, p.St, p.h, bound=bound, t=1.0,
+                     oracle=oracle).frame[0][0]) for oracle, p in moves]
         assert swaps.count(True) == 1
         oracle, p = moves[swaps.index(frame == "swapped")]
         rep = two_coin_replicates(p.X, p.Xt, p.S, p.St, p.h, 1.0, bound,
@@ -202,6 +201,73 @@ def test_split_decisions_run_in_the_cheaper_frame_with_their_own_line(
         here = expected_rounds(C[i], h_e[i], 1.0)
         there = expected_rounds(C[i], 1.0 / h_e[i], 1.0)
         assert here <= there
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_sharp_frame_log_h_e_matches_exact_arithmetic(h):
+    # log H + E = h (||s||^2 - ||s~||^2) / 8 on the sharp route: against
+    # rational arithmetic on the same float inputs it is good to a few ulps
+    # of h (||s||^2 + ||s~||^2) / 8, where adding the O(1) terms of log H
+    # and E, which cancel, lost up to 2e-2 of it at h = 1e-8
+    oracle = gaussian_oracle(np.array([0.3, -0.1]), 1.7)
+    rng = np.random.default_rng(48)
+    X = rng.standard_normal((200, 2))
+    S = oracle.score(X, 1.0)
+    Xt = X + 0.5 * h * S + np.sqrt(h) * rng.standard_normal(X.shape)
+    St = oracle.score(Xt, 1.0)
+    swap, _, _, log_h_e, _, _ = engine.proposal_terms(
+        X, Xt, S, St, h, bound=SHARP, t=1.0, oracle=oracle,
+        log_h=False).frame
+    hf = Fraction(h)
+
+    def dot(a, b):
+        return sum(p * q for p, q in zip(a, b))
+
+    for i in range(X.shape[0]):
+        x, xt, s, st = ([Fraction(float(c)) for c in row[i]]
+                        for row in (X, Xt, S, St))
+        v = [b - a for a, b in zip(x, xt)]
+        fwd = [vj - hf * sj / 2 for vj, sj in zip(v, s)]
+        bwd = [vj + hf * sj / 2 for vj, sj in zip(v, st)]
+        exact = ((dot(fwd, fwd) - dot(bwd, bwd)) / (2 * hf)
+                 + (dot(s, v) + dot(st, v)) / 2)
+        assert bool(swap[i]) == (dot(s, s) > dot(st, st))
+        ulp = np.finfo(float).eps * float(hf * (dot(s, s) + dot(st, st)) / 8)
+        frame_value = -exact if swap[i] else exact
+        assert abs(float(Fraction(float(log_h_e[i])) - frame_value)) <= 4 * ulp
+
+
+@pytest.mark.parametrize("route", [SHARP, BoundSpec("lipschitz")])
+def test_sweep_and_replicates_build_the_same_frame(monkeypatch, route):
+    # every proposal of a sweep's first pass, replayed one at a time by the
+    # replicate sampler, reaches the round loop with the sweep's own row
+    oracle = rippled_oracle()
+    rng = np.random.default_rng(49)
+    X = rippled_draws(rng, 40)
+    real_rounds, real_terms, seen, inputs = (engine._two_coin_rounds,
+                                             engine.proposal_terms, [], [])
+
+    def rounds_spy(Xa, Va, log_h_a, C, *args, base, swap, **kw):
+        seen.append((swap, Xa, Va, log_h_a, C) + tuple(base))
+        return real_rounds(Xa, Va, log_h_a, C, *args, base=base, swap=swap,
+                           **kw)
+
+    def terms_spy(*args, **kw):
+        inputs.append(args[:4])
+        return real_terms(*args, **kw)
+
+    monkeypatch.setattr(engine, "_two_coin_rounds", rounds_spy)
+    monkeypatch.setattr(engine, "proposal_terms", terms_spy)
+    engine.corrector_sweep(X, oracle.score(X, 1.0), oracle, 1.0, 0.5,
+                           "two-coin", rng, bound=route)
+    sweep_frame, rows = seen[0], inputs[0]
+    assert 0 < sweep_frame[0].sum() < 40
+    for i in range(40):
+        seen.clear()
+        two_coin_replicates(*(a[i:i + 1] for a in rows), 0.5, 1.0, route,
+                            oracle, np.random.default_rng(i), 3)
+        for mine, theirs in zip(seen[0], sweep_frame):
+            np.testing.assert_array_equal(mine[0], theirs[i])
 
 
 # -- stationarity from exact draws -----------------------------------------------------

@@ -24,13 +24,12 @@ def test_bound_c_batch_matches_closed_forms():
     Xt = X + rng.uniform(-0.5, 0.5, size=(16, 2))
     S = oracle.score(X, 1.0)
     St = oracle.score(Xt, 1.0)
-    V, f0, f1, _ = engine._endpoint_terms(X, Xt, S, St, 0.3)
     r, sigma = sched.marginal_params(1.0)
     norm = np.linalg.norm
     for spec in (BoundSpec("lipschitz"), BoundSpec("bounded-denoiser"),
                  BoundSpec("lipschitz-sharp", 2.0), BoundSpec("manual", 50.0)):
-        batch = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0, spec, sched,
-                                     oracle)
+        batch = engine.proposal_terms(X, Xt, S, St, 0.3, bound=spec, t=1.0,
+                                      oracle=oracle, schedule=sched).c
         for i in range(16):
             x, xt = X[i], Xt[i]
             v = norm(xt - x)
@@ -65,11 +64,12 @@ def test_segment_products_are_left_to_right_loops(counts, seed):
             prod *= f
         want.append(prod)
         pos += count
-    got = engine._segment_products(factors, counts)
+    got = engine._segment_products(
+        factors, np.repeat(np.arange(counts.size), counts), counts.size)
     assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
-def test_log_h_batch_matches_closed_form():
+def test_proposal_terms_log_h_matches_closed_form():
     oracle = gaussian_oracle(0.0, 1.0)
     rng = np.random.default_rng(1)
     X = rng.standard_normal((8, 1))
@@ -77,7 +77,7 @@ def test_log_h_batch_matches_closed_form():
     S = oracle.score(X, 1.0)
     St = oracle.score(Xt, 1.0)
     h = 0.25
-    batch = engine.log_h_batch(Xt - X, S, St, h)
+    batch = engine.proposal_terms(X, Xt, S, St, h).log_h
     for i in range(8):
         x, xt = float(X[i, 0]), float(Xt[i, 0])
         fwd = xt - x - 0.5 * h * (-x)
@@ -133,6 +133,34 @@ def test_engine_oracle_mh_and_quadrature_agree_on_gaussian():
     b = _stationary_acceptance("quadrature", h, seed=5)
     se = np.sqrt(2 * 0.25 / 200_000)
     assert abs(a - b) < 4.0 * se
+
+
+def test_oracle_mh_names_the_chain_of_a_non_finite_log_density():
+    # a NaN log-density used to read as a reject: the chains that start
+    # above 1.5 never moved and no error was raised
+    def log_density(x, t):
+        return np.where(x[:, 0] > 1.5, np.nan, -0.5 * x[:, 0] ** 2)
+
+    oracle = ScoreOracle(dim=1, score_fn=lambda x, t: -x,
+                         log_density_fn=log_density, name="nan-tail")
+    rng = np.random.default_rng(48)
+    X = rng.standard_normal((50, 1))
+    assert np.count_nonzero(X > 1.5) == 3
+    done = np.zeros(50, dtype=np.int64)
+
+    def on_step(chains, steps, X_rows):
+        done[chains] = steps + 1
+
+    with pytest.raises(NonFiniteError, match="non-finite log-density ratio "
+                                             r"at chain \d+$") as info:
+        engine.corrector_sweep(X, -X, oracle, 1.0, 0.3, "oracle-mh", rng,
+                               steps=20, on_step=on_step)
+    err = info.value
+    assert f"at chain {err.chain}" in str(err)
+    assert err.sweep == done[err.chain]
+    # the first sweep's proposals start from X, so its first bad chain is
+    # at or before the first chain that starts above 1.5
+    assert err.sweep > 0 or err.chain <= np.flatnonzero(X[:, 0] > 1.5)[0]
 
 
 def test_engine_hybrid_matches_two_coin_rate():
@@ -216,9 +244,9 @@ def test_hybrid_bound_violation_names_the_chain():
     X = np.array([[6.0, 0.0]] * 3 + [[-2.0, 0.0]])
     Xt = np.array([[6.5, 0.0]] * 3 + [[2.0, 0.0]])
     S, St = oracle.score(X, 0.5), oracle.score(Xt, 0.5)
-    V, f0, f1, _ = engine._endpoint_terms(X, Xt, S, St, 0.3)
     spec = BoundSpec("lipschitz", 0.1)
-    C = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 0.5, spec, sched, oracle)
+    C = engine.proposal_terms(X, Xt, S, St, 0.3, bound=spec, t=0.5,
+                              oracle=oracle, schedule=sched).c
     assert C[:3] == pytest.approx(9.01, abs=0.01)
     assert C[3] == pytest.approx(0.8, rel=1e-9)
     # the innovation that proposes Xt from X
@@ -364,14 +392,12 @@ def test_one_two_coin_step_is_the_lockstep_sweep():
     rng = np.random.default_rng(21)
     Xt = X + 0.5 * h * S + np.sqrt(h) * rng.standard_normal(X.shape)
     St = oracle.score(Xt, 1.0)
-    V, f0, f1, logH = engine._endpoint_terms(X, Xt, S, St, h)
-    C = engine.bound_c_batch(X, Xt, S, St, V, f0, f1, 1.0, spec, sched,
-                             oracle)
-    swap, Xa, Va, log_h_a, base = engine._exact_frame(X, Xt, V, f0, f1, logH,
-                                                      spec)
+    terms = engine.proposal_terms(X, Xt, S, St, h, bound=spec, t=1.0,
+                                  oracle=oracle, schedule=sched)
+    swap, Xa, Va, log_h_a, a, b = terms.frame
     accept, rounds, poisson, _ = engine._two_coin_rounds(
-        Xa, Va, log_h_a, C, 1.0, oracle, rng, engine.DEFAULT_MAX_ROUNDS,
-        base=base, swap=swap)
+        Xa, Va, log_h_a, terms.c, 1.0, oracle, rng, engine.DEFAULT_MAX_ROUNDS,
+        base=(a, b), swap=swap)
     assert 0 < swap.sum() < swap.size
     np.testing.assert_array_equal(Xn, np.where(accept[:, None], Xt, X))
     np.testing.assert_array_equal(Sn, np.where(accept[:, None], St, S))

@@ -85,9 +85,9 @@ def test_ula_propagates_nonfinite_score_with_coordinate():
 
 def log_h(x, x_tilde, s, s_tilde, h):
     """log H of the proposal x -> x_tilde with endpoint scores s, s_tilde,
-    as :func:`madm.engine.log_h_batch` computes it on one row."""
+    as :func:`madm.engine.proposal_terms` computes it on one row."""
     rows = [np.array([a], dtype=float) for a in (x, x_tilde, s, s_tilde)]
-    return float(engine.log_h_batch(rows[1] - rows[0], rows[2], rows[3], h)[0])
+    return float(engine.proposal_terms(*rows, h).log_h[0])
 
 
 def test_log_h_zero_for_symmetric_random_walk():
