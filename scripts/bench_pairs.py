@@ -9,9 +9,13 @@ Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds 35
 change first in odd ones.  After every pair both runs are appended, in run
 order, to ``BENCH_<L>.json`` at the root of this repository (created if
 missing); pairs number on from the record's last pair for W and S.  At the
-end it prints each side's run_s median and quartiles and how many pairs the
-change won.  A run that fails is kept with its standard error and counts as
-lost.  The checkouts' ``perfbench/`` is only read, never written.
+end it prints each side's run_s median and quartiles, how many pairs the
+change won, and each side's median of every end-to-end metric that
+``BENCHMARK.json`` declares, flagging the metrics on which the change's
+median is worse than the parent's by more than the declared bound (a
+fraction of the parent's median).  A run that fails is kept with its
+standard error and counts as lost.  The checkouts' ``perfbench/`` and this
+repository's ``BENCHMARK.json`` are only read, never written.
 """
 
 from __future__ import annotations
@@ -94,13 +98,45 @@ def next_pair(record: dict, workload: str, seed: int) -> int:
     return max(pairs) + 1 if pairs else 0
 
 
-def run_s(run: dict):
-    """The run's run_s, or None for a failed or incorrect run."""
+def metric(run: dict, name: str):
+    """The run's value of metric ``name``, or None for a failed or incorrect
+    run or a metric it does not report."""
     result = run.get("result")
     if ("stderr" in run or not result or not result.get("correct")
-            or result.get("failed")):
+            or result.get("failed") or name not in result["metrics"]):
         return None
-    return result["metrics"]["run_s"]["value"]
+    return result["metrics"][name]["value"]
+
+
+def run_s(run: dict):
+    """The run's run_s, or None for a failed or incorrect run."""
+    return metric(run, "run_s")
+
+
+def end_to_end(path: Path = ROOT / "BENCHMARK.json") -> list[dict]:
+    """The end-to-end metrics the benchmark declares: name, better, bound."""
+    return json.loads(path.read_text())["end_to_end"]
+
+
+def bound_check(runs: list[dict], metrics: list[dict]) -> list[dict]:
+    """Per declared metric: each side's median over its good runs, and
+    ``worse`` when the change's median is worse than the parent's by more
+    than ``bound`` times the parent's median (None when a side has none)."""
+    out = []
+    for m in metrics:
+        med = {}
+        for side in SIDES:
+            values = [v for r in runs if r["side"] == side
+                      for v in [metric(r, m["name"])] if v is not None]
+            med[side] = statistics.median(values) if values else None
+        parent, change = med["parent"], med["change"]
+        worse = None
+        if parent is not None and change is not None:
+            gap = change - parent if m["better"] == "lower" else parent - change
+            worse = gap > m["bound"] * abs(parent)
+        out.append({"name": m["name"], "parent": parent, "change": change,
+                    "bound": m["bound"], "worse": worse})
+    return out
 
 
 def summary(runs: list[dict]) -> dict:
@@ -160,6 +196,11 @@ def main(argv=None) -> int:
         print(f"{side}: run_s median {s['median']} (q1 {s['q1']}, q3 {s['q3']}) "
               f"over {s['runs']} good runs")
     print(f"change faster in {stats['change_won']} of {stats['pairs']} pairs")
+    for row in bound_check(mine, end_to_end()):
+        flag = {True: "  WORSE than the bound", None: "  (no good runs)"}.get(
+            row["worse"], "")
+        print(f"{row['name']}: parent {row['parent']}, change {row['change']} "
+              f"(bound {row['bound']}){flag}")
     return 0
 
 

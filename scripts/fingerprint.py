@@ -9,8 +9,11 @@ kept the output byte for byte:
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/fingerprint.py
 
 The cases are every corrector kind through ``engine.corrector_sweep`` (5
-steps of 3000 chains; samples, scores, every ``SweepStats`` field and the
-generator state) and ``run_pc`` on nine small preset configurations
+steps of 3000 chains on the ``lipschitz`` envelope, and two-coin and hybrid
+once more on ``lipschitz-sharp``, whose envelope is 0 on this Gaussian so
+that round 1's coin decides alone and the two print the same digest;
+samples, scores, every ``SweepStats``
+field and the generator state) and ``run_pc`` on nine small preset configurations
 (samples, the flat config and the report without its wall time; each run
 also prints a digest of its samples alone, so a change to query counts or
 report keys can be told apart from a change to the draws).  On a
@@ -42,6 +45,7 @@ from madm.schedule import NoiseSchedule
 from madm.targets import ScoreOracle, gaussian_oracle
 
 SWEEP_KINDS = ("ula", "two-coin", "quadrature", "hybrid", "oracle-mh")
+ZERO_ENVELOPE_SWEEPS = ("two-coin", "hybrid")
 
 RUNS = {
     "fig1-hybrid": ("fig1-checkerboard", ["corrector.kind=hybrid"]),
@@ -78,13 +82,13 @@ def _digest(*parts) -> str:
     return h.hexdigest()
 
 
-def sweep_case(kind: str) -> str:
+def sweep_case(kind: str, route: str = "lipschitz") -> str:
     oracle = gaussian_oracle(np.zeros(2), 1.0)
     rng = np.random.default_rng(2024)
     X = rng.standard_normal((3000, 2))
     X, S, stats = engine.corrector_sweep(
         X, oracle.score(X, 1.0), oracle, 1.0, 0.4, kind, rng,
-        schedule=NoiseSchedule.edm(), bound=BoundSpec("lipschitz"),
+        schedule=NoiseSchedule.edm(), bound=BoundSpec(route),
         rule=simpson13(), hybrid_rounds=3, steps=5)
     return _digest(X.tobytes(), S.tobytes(), dataclasses.asdict(stats),
                    rng.bit_generator.state)
@@ -150,6 +154,9 @@ def run_case(name: str) -> tuple[str, str]:
 def main() -> int:
     for kind in SWEEP_KINDS:
         print(f"{sweep_case(kind)}  sweep-{kind}", flush=True)
+    for kind in ZERO_ENVELOPE_SWEEPS:
+        print(f"{sweep_case(kind, 'lipschitz-sharp')}  "
+              f"sweep-{kind}-lipschitz-sharp", flush=True)
     for name in RUNS:
         run, samples = run_case(name)
         print(f"{run}  run-{name}\n{samples}  samples-{name}", flush=True)

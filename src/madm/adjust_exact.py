@@ -23,7 +23,11 @@ r e^{-E} and the acceptance is still H r / (1 + H r).  :func:`expected_rounds`
 and :func:`expected_queries` apply with H e^E in place of H, r e^{-E} in
 place of r, and the remainder's C.  The ``lipschitz-sharp`` route takes the
 line through f(0) and f(1); every other route takes the zero line (E = 0),
-for which the formulas above hold as written.
+for which the formulas above hold as written.  Where the sharp remainder's
+bound is within rounding (affine integrands: Gaussian targets) C is 0, so
+W = 1 and round 1's coin alone decides, at H e^E / (1 + H e^E), with no
+Poisson count, no W-coin and no score query: one round, as
+:func:`expected_rounds` gives for C = 0 and r e^{-E} = 1.
 
 The decisions and the envelope C run in :mod:`madm.engine`; this module
 holds the closed-form costs and the replicate samplers that the
@@ -120,7 +124,8 @@ def two_coin_replicates(X, Xt, S, St, h: float, t: float, bound: BoundSpec,
     terms = engine.proposal_terms(X, Xt, S, St, h, bound=bound, t=t,
                                   oracle=oracle, schedule=schedule,
                                   log_h=False)
-    swap, Xa, Va, log_h_a, a, b = (_broadcast(f, n) for f in terms.frame)
+    swap, Xa, Va, log_h_a, a, b = (f if f is None else _broadcast(f, n)
+                                   for f in terms.frame)
     accept, rounds, poisson, _ = engine._two_coin_rounds(
         Xa, Va, log_h_a, _broadcast(terms.c, n), t, oracle, rng, max_rounds,
         base=(a, b), swap=swap)

@@ -209,7 +209,9 @@ def proposal_terms(X, Xt, S, St, h: float, *, bound: Optional[BoundSpec] = None,
     (f(0) + f(1)) / 2; it then sees -(log H + E) and, along u' = 1 - u, the
     line (-a - b) + b u'.  On the sharp route log H + E is
     h (||s||^2 - ||s_tilde||^2) / 8 exactly, and a row swaps when
-    ||s||^2 > ||s_tilde||^2.  ``chains`` maps rows to chain numbers for errors.
+    ||s||^2 > ||s_tilde||^2.  The frame's start and direction, which only
+    the factors' segment points read, are None on a batch whose C is 0 on
+    every row.  ``chains`` maps rows to chain numbers for errors.
     """
     V = Xt - X
     f0, f1 = _row_dot(S, V), _row_dot(St, V)
@@ -230,10 +232,17 @@ def proposal_terms(X, Xt, S, St, h: float, *, bound: Optional[BoundSpec] = None,
     else:
         swap, log_h_e = logH > trapezoid, logH
         a = b = np.zeros_like(f0)
-    rows = swap[:, None]
-    frame = (swap, np.where(rows, Xt, X), np.where(rows, -V, V),
-             np.where(swap, -log_h_e, log_h_e), a, b)
+    points = (_segment_points(swap, X, Xt, V) if np.count_nonzero(C)
+              else (None, None))
+    frame = (swap, *points, np.where(swap, -log_h_e, log_h_e), a, b)
     return ProposalTerms(V, f0, f1, logH, C, frame)
+
+
+def _segment_points(swap, X, Xt, V):
+    """The frame's start and direction: x and v, or x_tilde and -v on the
+    ``swap`` rows."""
+    rows = swap[:, None]
+    return np.where(rows, Xt, X), np.where(rows, -V, V)
 
 
 def bound_c_batch(f0, f1, ss, sts, vv, xx, xtxt, t, spec: BoundSpec,
@@ -260,12 +269,15 @@ def bound_c_batch(f0, f1, ss, sts, vv, xx, xtxt, t, spec: BoundSpec,
 
         C = (L'^2 - D^2) / (2 L')
 
-    the tight bound on |g| given f(0), f(1) and L'.  It is 0 on affine
-    integrands (Gaussian targets), and E + C never exceeds the
-    whole-integrand bound (|f(0)| + |f(1)| + L') / 2.  A rounding slack of
-    1e-12 (|f(0)| + |f(1)| + L') keeps factors drawn on an affine integrand
-    in [0, 1]; a null move gets C = 0.  An endpoint slope |D| above L'
-    (beyond rounding) proves the declared L wrong and is rejected.
+    the tight bound on |g| given f(0), f(1) and L', plus a rounding slack
+    of 1e-12 (|f(0)| + |f(1)| + L') that keeps the factors in [0, 1].  A row
+    whose tight bound is no larger than that slack gets C = 0 instead: it
+    draws no factor, and the remainder it leaves out of log r, at most the
+    slack, is the margin the endpoint-slope check already counts as
+    rounding.  So C is 0 on affine integrands (Gaussian targets) and on
+    null moves, and E + C never exceeds the whole-integrand bound
+    (|f(0)| + |f(1)| + L') / 2.  An endpoint slope |D| above L' (beyond
+    rounding) proves the declared L wrong and is rejected.
 
     The rows come as :func:`proposal_terms`' dots (||x||^2 and ||x_tilde||^2
     None off the bounded-denoiser route, which takes (r_t, sigma_t) from
@@ -304,7 +316,8 @@ def bound_c_batch(f0, f1, ss, sts, vv, xx, xtxt, t, spec: BoundSpec,
             # read 0 and leaves every L' > 0 as it is
             room = np.maximum(room, 0.0) * (lip_v + slope)
             c = room / np.maximum(2.0 * lip_v, 5e-324)
-            return c + 1e-12 * (np.abs(f0) + np.abs(f1) + lip_v)
+            slack = 1e-12 * (np.abs(f0) + np.abs(f1) + lip_v)
+            return np.where(c > slack, c + slack, 0.0)
     else:   # manual; BoundSpec admits no other strategy
         if spec.value is None:
             raise ConfigError("manual bound requires an explicit value")
@@ -381,17 +394,26 @@ def _two_coin_rounds(Xa, Va, log_h_a, C, t, oracle, rng, max_rounds,
     runs on the remainder after the line ``base = (a, b)``, which ``C``
     bounds, ``log_h_a`` holds log H + E, and ``accept`` negates the ``swap``
     rows' frame decisions.  ``chains`` maps rows to chain numbers for errors.
+
+    A batch whose C is 0 on every row has W = 1, so round 1's coin alone
+    decides it, at H e^E / (1 + H e^E): one uniform per row, no Poisson
+    count, no W-coin and no score query (``Xa`` and ``Va`` may be None).
     """
-    n = Xa.shape[0]
+    n = C.shape[0]
     if C.strides[0] == 0:   # replicate rows: one alpha', kept broadcast
-        alpha_prime = np.broadcast_to(expit(-(log_h_a[:1] + C[:1])), (n,))
+        c_rows = C[:1]
+        alpha_prime = np.broadcast_to(expit(-(log_h_a[:1] + c_rows)), (n,))
     else:
-        alpha_prime = expit(-(log_h_a + C))
+        c_rows, alpha_prime = C, expit(-(log_h_a + C))
+    cap = max_rounds if round_limit is None else min(round_limit, max_rounds)
+    if cap and not np.count_nonzero(c_rows):
+        frame_accept = rng.random(n) > alpha_prime
+        return (frame_accept ^ swap, np.ones(n, dtype=np.int64),
+                np.zeros(n, dtype=np.int64), np.arange(0))
     frame_accept = np.zeros(n, dtype=bool)
     rounds = np.zeros(n, dtype=np.int64)
     poisson = np.zeros(n, dtype=np.int64)
     active = np.arange(n)
-    cap = max_rounds if round_limit is None else min(round_limit, max_rounds)
     for round_idx in range(1, cap + 1):
         if round_idx == 1:   # every row runs round 1: no gather or scatter
             rounds[:], alpha_rows = 1, alpha_prime
@@ -545,6 +567,9 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                 if kind == "two-coin":
                     block += (terms.c,) + terms.frame
                     if carry:
+                        if block[7] is None:   # C = 0 rows join open ones
+                            block = (block[:7] + _segment_points(
+                                block[6], x, xt, terms.v) + block[9:])
                         # in chain order, which the round loop draws in
                         order = np.argsort(np.concatenate([carry[0], free]))
                         block = tuple(np.concatenate(pair)[order]
@@ -578,7 +603,8 @@ def corrector_sweep(X, S, oracle: ScoreOracle, t: float, h: float, kind: str,
                     capped = 2.0 * terms.c > poisson_cap
                     runs = np.flatnonzero(~capped) if hybrid_rounds else once[:0]
                     if runs.size:
-                        swap, xa, va, ha, a, b = (f[runs] for f in terms.frame)
+                        swap, xa, va, ha, a, b = (
+                            f if f is None else f[runs] for f in terms.frame)
                         accept[runs], ran, poisson, left = _two_coin_rounds(
                             xa, va, ha, terms.c[runs], t, oracle, rng,
                             max_rounds, round_limit=hybrid_rounds,

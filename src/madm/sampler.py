@@ -397,10 +397,12 @@ def _run_block(config: RunConfig, schedule: NoiseSchedule, plan: list[_Level],
                 # post-burn-in moments of the chains that just finished a
                 # step; they come in ascending order, so a step of every
                 # chain adds to the whole arrays, with no gather or scatter
+                # (C-level counts and sums: numpy's method wrappers cost
+                # more than the work on a pass of a few hundred rows)
                 keep = steps >= burn
-                if not keep.all():
+                if np.count_nonzero(keep) < keep.size:
                     rows, X_rows = rows[keep], X_rows[keep]
-                rec.moment_sum += float(X_rows.sum())
+                rec.moment_sum += float(np.add.reduce(X_rows, axis=None))
                 at = slice(None) if rows.size == n_chains else rows
                 unit_sum[at] += X_rows
                 unit_sq[at] += X_rows * X_rows

@@ -22,6 +22,7 @@ from madm.engine import BoundSpec
 from madm.errors import BoundViolationError
 from madm.schedule import NoiseSchedule
 from madm.targets import ScoreOracle, gaussian_oracle
+from test_proposal import _ZeroNoise
 
 RIPPLE = 0.8
 SHARP = BoundSpec("lipschitz-sharp")
@@ -88,16 +89,18 @@ def test_remainder_bound_dominates_and_has_its_closed_form(target):
         pts = X[i][None, :] + u[:, None] * V[i][None, :]
         f = oracle.score_fn(pts, 1.0) @ V[i]
         line = f0[i] + (f1[i] - f0[i]) * u
-        assert np.abs(f - line).max() <= C[i] * (1 + 1e-12)
         lip_v = oracle.lipschitz * (V[i] @ V[i])
         slack = 1e-12 * (abs(f0[i]) + abs(f1[i]) + lip_v)
         if target == "rippled":
+            assert np.abs(f - line).max() <= C[i] * (1 + 1e-12)
             slope = f1[i] - f0[i]
             want = (lip_v ** 2 - slope ** 2) / (2.0 * lip_v) + slack
             assert C[i] == pytest.approx(want, rel=1e-12)
         else:
-            # an affine integrand leaves only the rounding slack
-            assert 0.0 < C[i] <= slack * (1 + 1e-2)
+            # an affine integrand leaves a remainder of rounding alone,
+            # within the slack, and no envelope
+            assert np.abs(f - line).max() <= slack
+            assert C[i] == 0.0
         # E + C never exceeds the whole-integrand bound of the parent route
         assert 0.5 * (f0[i] + f1[i]) + C[i] <= \
             0.5 * (abs(f0[i]) + abs(f1[i]) + lip_v) * (1 + 1e-12)
@@ -108,6 +111,140 @@ def test_remainder_bound_of_a_null_move_is_zero():
     X = np.array([[0.7], [-1.2]])
     _, _, _, _, C = rows(oracle, X, X.copy())
     np.testing.assert_array_equal(C, [0.0, 0.0])
+
+
+def test_a_remainder_within_the_slack_gets_no_envelope():
+    # L' = 1 and f(0) = 0, so the slack 1e-12 (|f0| + |f1| + L') is about
+    # 2e-12: a tight bound of 1.5e-12 gives C = 0, one of 2.5e-12 keeps its
+    # slack, and a wide row is untouched by its neighbours
+    f0 = np.zeros(3)
+    f1 = -(1.0 - np.array([1.5e-12, 2.5e-12, 0.5]))
+    vv = np.ones(3)
+    C = engine.bound_c_batch(f0, f1, None, None, vv, None, None, 1.0,
+                             BoundSpec("lipschitz-sharp", 1.0), None, None)
+    slope = np.abs(f1)
+    tight = (1.0 - slope) * (1.0 + slope) / 2.0
+    slack = 1e-12 * (slope + 1.0)
+    assert 0.0 < tight[0] <= slack[0] < tight[1]
+    assert C[0] == 0.0
+    np.testing.assert_allclose(C[1:], tight[1:] + slack[1:], rtol=1e-12)
+
+
+# -- the zero envelope: round 1's coin decides ----------------------------------------
+
+def test_zero_envelope_rounds_draw_one_uniform_per_row():
+    # with C = 0 on every row W = 1: one uniform per row decides, no Poisson
+    # count, no W-coin, no score query, and no segment points are read
+    n = 500
+    rng = np.random.default_rng(50)
+    log_h_a, swap = rng.normal(size=n), rng.random(n) < 0.5
+    oracle = gaussian_oracle(0.0, 1.0)
+    twin = np.random.default_rng(51)
+    rng = np.random.default_rng(51)
+    for limit in (None, 1):
+        queries = oracle.queries
+        accept, rounds, poisson, still = engine._two_coin_rounds(
+            None, None, log_h_a, np.zeros(n), 1.0, oracle, rng, 10,
+            round_limit=limit, base=(None, None), swap=swap)
+        u = twin.random(n)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        np.testing.assert_array_equal(accept, (u > expit(-log_h_a)) ^ swap)
+        np.testing.assert_array_equal(rounds, np.ones(n))
+        np.testing.assert_array_equal(poisson, np.zeros(n))
+        assert still.size == 0 and oracle.queries == queries
+
+
+@pytest.mark.parametrize("frame", ["forward", "swapped"])
+def test_zero_envelope_replicates_are_barker(frame):
+    # a Gaussian move, and its reverse, whose integrand is its own line:
+    # the replicates decide in one round each at H e^E / (1 + H e^E), and
+    # e^E is the density ratio
+    oracle = gaussian_oracle(0.0, 1.0)
+    x, xt = (0.3, 1.4) if frame == "forward" else (1.4, 0.3)
+    X, Xt = np.array([[x]]), np.array([[xt]])
+    S, St = oracle.score(X, 1.0), oracle.score(Xt, 1.0)
+    terms = engine.proposal_terms(X, Xt, S, St, 0.5, bound=SHARP, t=1.0,
+                                  oracle=oracle)
+    assert terms.c[0] == 0.0 and terms.frame[1] is None
+    n = 1_000_000
+    rep = two_coin_replicates(X, Xt, S, St, 0.5, 1.0, SHARP, oracle,
+                              np.random.default_rng(52), n)
+    assert rep["swap"] == (frame == "swapped")
+    assert rep["score_queries"] == 0 and rep["poisson_total"].sum() == 0
+    assert np.all(rep["rounds"] == 1)
+    log_h_e = float(terms.log_h[0] + 0.5 * (terms.f0[0] + terms.f1[0]))
+    log_r = float(np.diff(oracle.log_density(np.vstack([X, Xt]), 1.0))[0])
+    assert log_h_e == pytest.approx(float(terms.log_h[0]) + log_r, abs=1e-12)
+    alpha = expit(log_h_e)
+    se = np.sqrt(alpha * (1 - alpha) / n)
+    assert abs(rep["accept"].mean() - alpha) < 4.0 * se
+
+
+def test_a_block_mixing_zero_and_rippled_rows_runs_the_round():
+    # null moves (C = 0) among rippled ones: round 1 draws the coin of every
+    # row, the Poisson counts and W-coins of the rows it spares, and the
+    # factors of the rippled rows, in that order
+    oracle = rippled_oracle()
+    X = np.tile([[-0.4], [0.7], [2.6], [-1.2]], (50, 1))
+    Xt = np.tile([[1.1], [0.7], [1.5], [-1.2]], (50, 1))
+    S, St = oracle.score(X, 1.0), oracle.score(Xt, 1.0)
+    terms = engine.proposal_terms(X, Xt, S, St, 0.5, bound=SHARP, t=1.0,
+                                  oracle=oracle)
+    C = terms.c
+    zero = C == 0.0
+    assert zero.sum() == 100 and np.all(C[~zero] > 0.1)
+    swap, Xa, Va, log_h_a, a, b = terms.frame
+    rng, twin = np.random.default_rng(53), np.random.default_rng(53)
+    queries = oracle.queries
+    accept, rounds, poisson, still = engine._two_coin_rounds(
+        Xa, Va, log_h_a, C, 1.0, oracle, rng, 10, round_limit=1,
+        base=(a, b), swap=swap)
+    spared = np.flatnonzero(twin.random(C.size) > expit(-(log_h_a + C)))
+    counts = twin.poisson(2.0 * C[spared])
+    twin.random(counts.sum() + spared.size)   # factors, then W-coins
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert oracle.queries - queries == counts.sum() > 0
+    np.testing.assert_array_equal(poisson[spared], counts)
+    assert not poisson[zero].any() and np.all(rounds == 1)
+    # a spared C = 0 row has W = 1, so its W-coin accepts
+    assert not np.isin(np.flatnonzero(zero), still).any()
+    frame_accept = np.zeros(C.size, dtype=bool)
+    frame_accept[spared] = True
+    np.testing.assert_array_equal((accept ^ swap)[zero], frame_accept[zero])
+
+
+def test_a_zero_envelope_batch_joins_carried_rows_with_its_points(monkeypatch):
+    # chain 0 sits at the rippled mode x = 0 with no innovation, so each of
+    # its proposals is a null move with C = 0; chain 1 starts far out and is
+    # carried from pass to pass, so a later pass joins chain 0's batch, built
+    # without segment points, to chain 1's open row
+    oracle = rippled_oracle()
+    events = []
+    real_terms, real_rounds = engine.proposal_terms, engine._two_coin_rounds
+
+    def terms_spy(*args, **kw):
+        terms = real_terms(*args, **kw)
+        events.append(("terms", terms.frame[1] is None))
+        return terms
+
+    def rounds_spy(Xa, Va, log_h_a, C, *args, **kw):
+        events.append(("rounds", Xa, C.copy()))
+        return real_rounds(Xa, Va, log_h_a, C, *args, **kw)
+
+    monkeypatch.setattr(engine, "proposal_terms", terms_spy)
+    monkeypatch.setattr(engine, "_two_coin_rounds", rounds_spy)
+    X = np.array([[0.0], [2.8]])
+    Xn, _, stats = engine.corrector_sweep(
+        X, oracle.score(X, 1.0), oracle, 1.0, 2.0, "two-coin",
+        _ZeroNoise(54), bound=SHARP, steps=6)
+    joined = [after for before, after in zip(events, events[1:])
+              if before == ("terms", True) and after[0] == "rounds"
+              and after[2].size == 2]
+    assert joined
+    for _, Xa, C in joined:
+        assert C[0] == 0.0 < C[1]
+        assert Xa[0, 0] == 0.0   # chain 0's start, x = x_tilde = 0
+    assert Xn[0, 0] == 0.0 and stats.proposals == 12
 
 
 # -- the law on fixed proposals ------------------------------------------------------

@@ -22,11 +22,11 @@ def _bench_pairs():
 ENV = {"git_sha": "abc", "nproc": 2, "python": "3.11.7"}
 
 
-def _proc(run_s, correct=True, returncode=0, stderr=""):
+def _proc(run_s, correct=True, returncode=0, stderr="", **metrics):
+    values = {"run_s": run_s, "score_rows": 2004000.0, **metrics}
     result = {"correct": correct, "attempted": 40, "failed": 0,
-              "metrics": {"run_s": {"value": run_s, "unit": "s"},
-                          "score_rows": {"value": 2004000.0,
-                                         "unit": "count"}}}
+              "metrics": {k: {"value": v, "unit": "-"}
+                          for k, v in values.items()}}
     stdout = ("perfbench: some progress\n" + json.dumps({"environment": ENV})
               + "\n" + json.dumps(result) + "\n")
     return SimpleNamespace(stdout=stdout, stderr=stderr, returncode=returncode)
@@ -84,3 +84,79 @@ def test_a_failed_run_keeps_its_stderr_and_loses_its_pair():
     stats = bp.summary(runs + [crashed] + wrong)
     assert stats["change_won"] == 0
     assert stats["change"]["runs"] == 0 and stats["parent"]["runs"] == 2
+
+
+def test_end_to_end_metrics_come_from_the_benchmark_declaration():
+    bp = _bench_pairs()
+    names = [m["name"] for m in bp.end_to_end()]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert names == [m["name"] for m in declared]
+    assert {"run_s", "setup_s", "decisions_per_s", "score_rows",
+            "peak_rss_mb"} <= set(names)
+
+
+METRICS = [{"name": "run_s", "better": "lower", "bound": 0.25},
+           {"name": "decisions_per_s", "better": "higher", "bound": 0.25},
+           {"name": "score_rows", "better": "lower", "bound": 0.1},
+           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+
+
+def test_bound_check_flags_the_metrics_worse_than_their_bound():
+    # run_s 1.0 -> 1.3 is 30% slower (bound 25%); decisions_per_s falls 20%
+    # (bound 25%); score_rows rises 5% (bound 10%); no run reports
+    # peak_rss_mb; a failed change run counts for neither side
+    bp = _bench_pairs()
+    runs = []
+    for pair, (p_s, c_s) in enumerate([(1.0, 1.3), (1.1, 1.4), (0.9, 1.2)]):
+        procs = {"parent": _proc(p_s, decisions_per_s=100.0),
+                 "change": _proc(c_s, decisions_per_s=80.0,
+                                 score_rows=2004000.0 * 1.05)}
+        runs += [bp.run_record(side, "sha", "w", 1, pair, procs[side])
+                 for side in bp.SIDES]
+    runs.append(bp.run_record("change", "sha", "w", 1, 3,
+                              _proc(9.0, returncode=1, stderr="boom")))
+    rows = {row["name"]: row for row in bp.bound_check(runs, METRICS)}
+    assert (rows["run_s"]["parent"], rows["run_s"]["change"]) == (1.0, 1.3)
+    assert rows["run_s"]["worse"] is True
+    assert rows["decisions_per_s"]["worse"] is False
+    assert rows["score_rows"]["worse"] is False
+    assert rows["score_rows"]["change"] == pytest.approx(2104200.0)
+    assert rows["peak_rss_mb"] == {"name": "peak_rss_mb", "parent": None,
+                                   "change": None, "bound": 0.1,
+                                   "worse": None}
+    # a throughput drop past its bound is worse too
+    fell = [bp.run_record(side, "sha", "w", 1, 0,
+                          _proc(1.0, decisions_per_s=rate))
+            for side, rate in zip(bp.SIDES, (100.0, 70.0))]
+    assert bp.bound_check(fell, METRICS[1:2])[0]["worse"] is True
+
+
+def test_main_prints_every_declared_metric_and_its_flag(tmp_path, monkeypatch,
+                                                         capsys):
+    # canned run.py output per checkout: the change is slower than the bound
+    # allows on run_s and alike on every other metric; git is unavailable
+    bp = _bench_pairs()
+    monkeypatch.setattr(bp, "ROOT", tmp_path)
+    canned = {"parent": dict(run_s=1.0, setup_s=0.7, decisions_per_s=2e6,
+                             peak_rss_mb=69.0),
+              "change": dict(run_s=1.5, setup_s=0.7, decisions_per_s=2e6,
+                             peak_rss_mb=69.0)}
+
+    def fake_run(cmd, cwd=None, **kw):
+        if cmd[0] == "git":
+            return SimpleNamespace(returncode=128, stdout="", stderr="")
+        return _proc(**canned[Path(cwd).name])
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    assert bp.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                    "--workload", "gaussian-two-coin", "--seed", "5",
+                    "--pairs", "2", "--label", "canned"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "change faster in 0 of 2 pairs" in lines
+    assert ("run_s: parent 1.0, change 1.5 (bound 0.25)  WORSE than the "
+            "bound") in lines
+    for name in ("setup_s", "decisions_per_s", "score_rows", "peak_rss_mb"):
+        line = next(l for l in lines if l.startswith(name + ":"))
+        assert "WORSE" not in line
+    record = json.loads((tmp_path / "BENCH_canned.json").read_text())
+    assert len(record["runs"]) == 4
